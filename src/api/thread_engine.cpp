@@ -1,6 +1,7 @@
 #include "api/thread_engine.h"
 
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -37,10 +38,13 @@ ThreadEngine::~ThreadEngine() { Stop(); }
 void ThreadEngine::EnsureStarted() { Start(); }
 
 void ThreadEngine::Start() {
-  if (runtime_ != nullptr) return;
-  runtime_ = std::make_unique<ThreadRuntime>(ToRuntimeConfig(options_),
-                                             std::move(staging_));
-  runtime_->Start();
+  // Producers reach this concurrently through Ingest/IngestBatch: exactly
+  // one of them builds the runtime, the rest wait until it has started.
+  std::call_once(start_once_, [this] {
+    runtime_ = std::make_unique<ThreadRuntime>(ToRuntimeConfig(options_),
+                                               std::move(staging_));
+    runtime_->Start();
+  });
 }
 
 QueryHandle ThreadEngine::Submit(const QueryDef& def) {

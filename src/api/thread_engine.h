@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -34,7 +35,8 @@ class ThreadEngine final : public Engine {
   /// at their next (rejected) ingest.
   void Remove(const QueryHandle& q) override;
 
-  /// Constructs and starts the runtime (idempotent; RunFor/Ingest call it).
+  /// Constructs and starts the runtime (idempotent and thread-safe;
+  /// RunFor/Ingest call it).
   void Start();
 
   /// Replays every attached producer through the next `d` of virtual
@@ -87,6 +89,7 @@ class ThreadEngine final : public Engine {
   void AttachStage(const IngestSpec& spec, TimeDomain domain, StageId stage);
 
   DataflowGraph staging_;  // pre-Start topology
+  std::once_flag start_once_;
   std::unique_ptr<ThreadRuntime> runtime_;
   std::vector<std::unique_ptr<Producer>> producers_;
   SimTime ingest_elapsed_ = 0;  // virtual time already replayed

@@ -33,6 +33,15 @@ constexpr Duration Micros(std::int64_t n) { return n * kMicrosecond; }
 constexpr Duration Millis(std::int64_t n) { return n * kMillisecond; }
 constexpr Duration Seconds(std::int64_t n) { return n * kSecond; }
 
+/// `t + d`, clamped to [kTimeMin, kTimeMax] instead of overflowing: a
+/// deadline computed from a clock already at (or near) kTimeMax stays at
+/// kTimeMax ("never").
+constexpr SimTime SatAdd(SimTime t, Duration d) {
+  SimTime r = 0;
+  if (__builtin_add_overflow(t, d, &r)) return d > 0 ? kTimeMax : kTimeMin;
+  return r;
+}
+
 constexpr double ToMillis(Duration d) { return static_cast<double>(d) / kMillisecond; }
 constexpr double ToSeconds(Duration d) { return static_cast<double>(d) / kSecond; }
 

@@ -7,15 +7,6 @@
 
 namespace cameo {
 
-namespace {
-// Saturating add keeps enqueue_time + starvation_limit from overflowing when
-// the guard is disabled (limit = kTimeMax).
-SimTime SatAdd(SimTime a, Duration b) {
-  if (a > 0 && b > kTimeMax - a) return kTimeMax;
-  return a + b;
-}
-}  // namespace
-
 CameoScheduler::CameoScheduler(SchedulerConfig config)
     : Scheduler(config, MailboxOrder::kLocalPriority) {}
 

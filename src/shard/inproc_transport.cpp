@@ -94,7 +94,7 @@ SimTime InprocTransport::Send(int from, int to, SimTime now, WireFrame frame) {
                                  ch.rng.Uniform01());
     }
     // Monotone clamp: jitter never reorders a channel (FIFO links, like TCP).
-    ch.last_deliver = std::max(ch.last_deliver, now + d);
+    ch.last_deliver = std::max(ch.last_deliver, SatAdd(now, d));
     node->frame.deliver_at = ch.last_deliver;
     node->seq = ch.next_seq++;
   }

@@ -135,10 +135,10 @@ SimTime SessionLayer::Send(int from, int to, SimTime now, WireFrame frame) {
     ++ss.in_flight;
     NoteAckSent(to, from);  // piggybacked
     if (ss.rto_deadline == kTimeMax) {
-      ss.rto_deadline = now + ss.rto_current +
-                        static_cast<Duration>(
-                            static_cast<double>(cfg_.rto_jitter) *
-                            ss.rng.Uniform01());
+      ss.rto_deadline = SatAdd(
+          now, ss.rto_current +
+                   static_cast<Duration>(static_cast<double>(cfg_.rto_jitter) *
+                                         ss.rng.Uniform01()));
     }
   } else {
     // Window full: the frame waits its turn. Never shed here -- exact
@@ -184,9 +184,10 @@ void SessionLayer::ProcessAck(int self, int peer, std::uint64_t ack,
   ss.rto_deadline =
       ss.unacked.empty()
           ? kTimeMax
-          : now + ss.rto_current +
-                static_cast<Duration>(static_cast<double>(cfg_.rto_jitter) *
-                                      ss.rng.Uniform01());
+          : SatAdd(now, ss.rto_current +
+                            static_cast<Duration>(
+                                static_cast<double>(cfg_.rto_jitter) *
+                                ss.rng.Uniform01()));
 }
 
 void SessionLayer::SendStandaloneAck(
@@ -219,7 +220,8 @@ bool SessionLayer::Receive(int to, SimTime now, WireFrame& out, int& from) {
         WireFrame f = std::move(it->second);
         rs.reorder.erase(it);
         rs.next_expected.store(ne + 1, std::memory_order_relaxed);
-        rs.ack_deadline = MinTime(rs.ack_deadline, now + cfg_.ack_delay);
+        rs.ack_deadline =
+            MinTime(rs.ack_deadline, SatAdd(now, cfg_.ack_delay));
         ack_now = ne - rs.last_acked >=
                   static_cast<std::uint64_t>(cfg_.ack_every);
         rs.release_clock = std::max(rs.release_clock, f.deliver_at);
@@ -275,7 +277,8 @@ bool SessionLayer::Receive(int to, SimTime now, WireFrame& out, int& from) {
         ReleaseFrame(std::move(f));
       } else if (seq == ne) {
         rs.next_expected.store(ne + 1, std::memory_order_relaxed);
-        rs.ack_deadline = MinTime(rs.ack_deadline, now + cfg_.ack_delay);
+        rs.ack_deadline =
+            MinTime(rs.ack_deadline, SatAdd(now, cfg_.ack_delay));
         ack_now = ne - rs.last_acked >=
                   static_cast<std::uint64_t>(cfg_.ack_every);
         rs.release_clock = std::max(rs.release_clock, f.deliver_at);
@@ -290,7 +293,8 @@ bool SessionLayer::Receive(int to, SimTime now, WireFrame& out, int& from) {
         } else {
           ReleaseFrame(std::move(f));
         }
-        rs.ack_deadline = MinTime(rs.ack_deadline, now + cfg_.ack_delay);
+        rs.ack_deadline =
+            MinTime(rs.ack_deadline, SatAdd(now, cfg_.ack_delay));
       }
     }
     if (ack_now) SendStandaloneAck(to, src, now, nullptr);
@@ -326,10 +330,11 @@ SimTime SessionLayer::Service(int shard, SimTime now,
             static_cast<Duration>(static_cast<double>(ss.rto_current) *
                                   cfg_.rto_backoff),
             cfg_.rto_max);
-        ss.rto_deadline =
-            now + ss.rto_current +
-            static_cast<Duration>(static_cast<double>(cfg_.rto_jitter) *
-                                  ss.rng.Uniform01());
+        ss.rto_deadline = SatAdd(
+            now, ss.rto_current +
+                     static_cast<Duration>(
+                         static_cast<double>(cfg_.rto_jitter) *
+                         ss.rng.Uniform01()));
       } else if (ss.rto_deadline <= now) {
         ss.rto_deadline = kTimeMax;  // everything acked meanwhile
       }

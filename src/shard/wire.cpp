@@ -90,13 +90,36 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+// ---- XXH64 (seed 0), the frame checksum ----
+//
+// The reference algorithm, scalar and word-at-a-time: four 64-bit lanes over
+// 32-byte stripes, then an 8/4/1-byte tail and the final avalanche. Each
+// round and the avalanche are bijections, so a change confined to one tail
+// word, and any change to the stored sum, is always caught; a change inside
+// the stripes escapes only on a 2^-64 lane-merge collision.
+
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ULL;
+
+std::uint64_t Rotl(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+
+std::uint64_t Load64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);  // host is little-endian (x86/arm64)
+  return v;
+}
+
+std::uint64_t Round(std::uint64_t acc, std::uint64_t input) {
+  return Rotl(acc + input * kP2, 31) * kP1;
+}
+
+std::uint64_t MergeRound(std::uint64_t h, std::uint64_t lane) {
+  return (h ^ Round(0, lane)) * kP1 + kP4;
 }
 
 /// Writes the fixed-size header; payload length is patched in FinishFrame
@@ -117,7 +140,7 @@ void BeginFrame(std::vector<std::uint8_t>& buf, FrameKind kind) {
 void FinishFrame(std::vector<std::uint8_t>& buf) {
   const std::uint64_t payload_len = buf.size() - kWireHeaderSize;
   std::memcpy(buf.data() + 8, &payload_len, sizeof payload_len);
-  const std::uint64_t sum = Fnv1a(buf.data(), buf.size());
+  const std::uint64_t sum = Xxh64(buf.data(), buf.size());
   Writer w(buf);
   w.U64(sum);
 }
@@ -147,7 +170,7 @@ bool OpenFrame(const WireFrame& frame, FrameKind& kind, Reader& payload) {
   }
   std::uint64_t sum;
   std::memcpy(&sum, b.data() + b.size() - kWireTrailerSize, sizeof sum);
-  if (sum != Fnv1a(b.data(), b.size() - kWireTrailerSize)) return false;
+  if (sum != Xxh64(b.data(), b.size() - kWireTrailerSize)) return false;
   kind = static_cast<FrameKind>(k);
   payload = Reader(b.data() + kWireHeaderSize, b.size() - kWireHeaderSize -
                                                    kWireTrailerSize);
@@ -155,6 +178,41 @@ bool OpenFrame(const WireFrame& frame, FrameKind& kind, Reader& payload) {
 }
 
 }  // namespace
+
+std::uint64_t Xxh64(const std::uint8_t* p, std::size_t n) {
+  const std::uint8_t* const end = p + n;
+  std::uint64_t h;
+  if (n >= 32) {
+    std::uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, Load64(p));
+      v2 = Round(v2, Load64(p + 8));
+      v3 = Round(v3, Load64(p + 16));
+      v4 = Round(v4, Load64(p + 24));
+    }
+    h = Rotl(v1, 1) + Rotl(v2, 7) + Rotl(v3, 12) + Rotl(v4, 18);
+    h = MergeRound(MergeRound(MergeRound(MergeRound(h, v1), v2), v3), v4);
+  } else {
+    h = kP5;
+  }
+  h += n;
+  for (; end - p >= 8; p += 8) {
+    h = Rotl(h ^ Round(0, Load64(p)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    std::uint32_t w;
+    std::memcpy(&w, p, sizeof w);
+    h = Rotl(h ^ (w * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = Rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
 
 void EncodeMessage(const Message& m, WireFrame& frame) {
   BeginFrame(frame.bytes, FrameKind::kData);
@@ -210,7 +268,7 @@ void StampSession(WireFrame& frame, std::uint64_t seq, std::uint64_t ack) {
   if (b.size() < kWireHeaderSize + kWireTrailerSize) return;
   std::memcpy(b.data() + kWireSeqOffset, &seq, sizeof seq);
   std::memcpy(b.data() + kWireAckOffset, &ack, sizeof ack);
-  const std::uint64_t sum = Fnv1a(b.data(), b.size() - kWireTrailerSize);
+  const std::uint64_t sum = Xxh64(b.data(), b.size() - kWireTrailerSize);
   std::memcpy(b.data() + b.size() - kWireTrailerSize, &sum, sizeof sum);
 }
 

@@ -13,7 +13,7 @@
 //   [u32 magic][u8 kind][u8 version][u16 reserved][u64 payload_len]
 //   [u64 seq][u64 ack]
 //   [payload bytes ...]
-//   [u64 FNV-1a checksum over header+payload]
+//   [u64 XXH64 (seed 0) checksum over header+payload]
 //
 // `seq` and `ack` are the session layer's fields (session.h): a per-channel
 // sequence number and a piggybacked cumulative ack for the reverse channel.
@@ -57,8 +57,9 @@ enum class FrameKind : std::uint8_t {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x43414D39;  // "CAM9"
-/// v2: the header grew the session seq/ack fields (PR 10).
-inline constexpr std::uint8_t kWireVersion = 2;
+/// v2: the header grew the session seq/ack fields.
+/// v3: the trailing checksum changed from byte-wise FNV-1a to XXH64.
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Header (magic, kind, version, reserved, payload_len, seq, ack) + trailing
 /// checksum.
 inline constexpr std::size_t kWireHeaderSize = 32;
@@ -83,6 +84,9 @@ struct WireStats {
   /// Frames rejected by magic/length/checksum validation.
   std::uint64_t rejected = 0;
 };
+
+/// The frame checksum: XXH64 with seed 0 over `n` bytes at `data`.
+std::uint64_t Xxh64(const std::uint8_t* data, std::size_t n);
 
 /// Serializes `m` into `frame.bytes` (replacing its contents; capacity is
 /// reused). The message itself is not consumed -- the caller still owns its

@@ -1,7 +1,9 @@
 // Unit tests for src/common: time helpers, ids, RNG distributions,
 // percentile statistics, the updatable heap, and the CSV writer.
 #include <algorithm>
+#include <cmath>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +146,82 @@ TEST(ZipfTest, SamplesFollowPmf) {
   for (std::size_t k = 0; k < 10; ++k) {
     EXPECT_NEAR(static_cast<double>(counts[k]) / n, zipf.Pmf(k), 0.01);
   }
+}
+
+// Reference sampler: the same inverse CDF searched with std::lower_bound,
+// clamped to the last rank.
+struct ReferenceZipf {
+  std::vector<double> cdf;
+
+  ReferenceZipf(std::size_t n, double s) : cdf(n) {
+    double sum = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
+      cdf[k] = sum;
+    }
+    for (double& v : cdf) v /= sum;
+  }
+
+  std::size_t Rank(double u) const {
+    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    if (it == cdf.end()) return cdf.size() - 1;
+    return static_cast<std::size_t>(it - cdf.begin());
+  }
+};
+
+TEST(ZipfTest, GuideTableMatchesBinarySearchExactly) {
+  const std::pair<std::size_t, double> kCases[] = {
+      {1, 1.0},      {2, 0.5},      {10, 1.5},      {100, 1.2},
+      {1000, 0.0},   {125000, 1.2}, {500000, 0.9},  {1000000, 1.1}};
+  constexpr int kDraws = 2'000'000;
+  for (const auto& [n, s] : kCases) {
+    const ZipfSampler zipf(n, s);
+    const ReferenceZipf ref(n, s);
+
+    Rng a(n * 31 + 7);
+    Rng b(n * 31 + 7);
+    std::int64_t mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      mismatches += zipf.Sample(a) != ref.Rank(b.Uniform01());
+    }
+    EXPECT_EQ(mismatches, 0) << "n=" << n << " s=" << s;
+
+    // Boundary draws: u = 0, u just below 1, and u exactly on (and one ulp
+    // either side of) CDF entries -- where lower_bound's ties decide -- and
+    // guide-bucket edges j/n, where u*n rounds.
+    EXPECT_EQ(zipf.SampleAt(0.0), ref.Rank(0.0));
+    const double top = std::nextafter(1.0, 0.0);
+    EXPECT_EQ(zipf.SampleAt(top), ref.Rank(top));
+    const std::size_t stride = std::max<std::size_t>(1, n / 20000);
+    for (std::size_t k = 0; k < n; k += stride) {
+      const double edge = static_cast<double>(k) / static_cast<double>(n);
+      for (double u : {ref.cdf[k], std::nextafter(ref.cdf[k], 0.0),
+                       std::nextafter(ref.cdf[k], 1.0), edge,
+                       std::nextafter(edge, 0.0), std::nextafter(edge, 1.0)}) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(zipf.SampleAt(u), ref.Rank(u))
+            << "n=" << n << " s=" << s << " k=" << k << " u=" << u;
+      }
+    }
+  }
+}
+
+TEST(ZipfTest, SamplersOfOneDistributionShareATable) {
+  const ZipfSampler a(1000, 1.1);
+  const ZipfSampler b(1000, 1.1);
+  const ZipfSampler other_s(1000, 1.2);
+  const ZipfSampler other_n(999, 1.1);
+  EXPECT_EQ(a.table_id(), b.table_id());
+  EXPECT_NE(a.table_id(), other_s.table_id());
+  EXPECT_NE(a.table_id(), other_n.table_id());
+  EXPECT_NE(other_s.table_id(), other_n.table_id());
+  // A copy shares too; the table outlives the sampler that built it.
+  const ZipfSampler* built = new ZipfSampler(77, 0.7);
+  const ZipfSampler copy = *built;
+  const void* id = built->table_id();
+  delete built;
+  EXPECT_EQ(copy.table_id(), id);
+  EXPECT_EQ(ZipfSampler(77, 0.7).table_id(), id);
 }
 
 TEST(SampleStatsTest, BasicOrderStatistics) {

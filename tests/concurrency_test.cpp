@@ -8,8 +8,11 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "api/thread_engine.h"
+#include "common/rng.h"
 #include "ops/sink.h"
 #include "ops/source.h"
 #include "runtime/thread_runtime.h"
@@ -151,6 +154,92 @@ TEST(ConcurrencyTest, DrainIsCleanWhileProducersKeepArriving) {
   auto& sink = dynamic_cast<SinkOp&>(rt.graph().Get(fj.sink));
   EXPECT_EQ(sink.tuples(), 500);
   rt.Stop();
+}
+
+// ThreadEngine starts its runtime lazily on the first Ingest/IngestBatch.
+// Two producers racing that first call into a fresh engine must construct
+// and start exactly one runtime: every 1-row batch is accepted and
+// dispatched, and the staged topology is moved into the runtime only once.
+TEST(ConcurrencyTest, RacingFirstIngestsStartEngineOnce) {
+  constexpr int kTrials = 20;
+  constexpr int kPerProducer = 50;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    EngineOptions opt;
+    opt.workers = 2;
+    opt.wallclock.emulate_cost = false;
+    ThreadEngine engine(opt);
+    QuerySpec spec = MakeLatencySensitiveSpec("lazy");
+    spec.sources = 2;
+    spec.aggs = 1;
+    const QueryHandle q = engine.Submit(AggregationQueryDef(spec));
+    const std::vector<OperatorId> sources =
+        engine.graph().stage(q.handles.source).operators;
+    ASSERT_EQ(sources.size(), 2u);
+
+    std::atomic<int> ready{0};
+    std::atomic<int> accepted{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 2; ++p) {
+      producers.emplace_back([&, p] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        for (int i = 0; i < kPerProducer; ++i) {
+          EventBatch batch;
+          batch.progress = i;
+          batch.Append(p, 1.0, i);
+          if (engine.IngestBatch(sources[static_cast<std::size_t>(p)],
+                                 std::move(batch))) {
+            accepted.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    engine.Drain();
+    EXPECT_EQ(accepted.load(), 2 * kPerProducer) << "trial " << trial;
+    const SchedulerStats stats = engine.sched_stats();
+    EXPECT_EQ(stats.enqueued, stats.dispatched) << "trial " << trial;
+    EXPECT_EQ(engine.graph().live_job_count(), 1u) << "trial " << trial;
+    engine.Stop();
+  }
+}
+
+// ZipfSampler tables come from a process-wide cache: threads constructing,
+// sampling and dropping samplers of the same two distributions at once must
+// each see a complete table and draw exactly the single-threaded sequence.
+TEST(ConcurrencyTest, ZipfSamplersConstructAndSampleConcurrently) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10;
+  constexpr int kDraws = 2000;
+  const std::pair<std::size_t, double> kDists[] = {{20000, 1.1},
+                                                   {30000, 0.8}};
+  std::vector<std::vector<std::size_t>> expected;
+  for (const auto& [n, s] : kDists) {
+    const ZipfSampler zipf(n, s);
+    Rng rng(7);
+    std::vector<std::size_t>& seq = expected.emplace_back();
+    for (int i = 0; i < kDraws; ++i) seq.push_back(zipf.Sample(rng));
+  }  // no sampler survives: the threads race to rebuild both tables
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const std::size_t d = static_cast<std::size_t>((t + r) % 2);
+        const ZipfSampler zipf(kDists[d].first, kDists[d].second);
+        Rng rng(7);
+        for (int i = 0; i < kDraws; ++i) {
+          if (zipf.Sample(rng) != expected[d][static_cast<std::size_t>(i)]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // Raw scheduler hammer: producers enqueue while consumer threads dispatch.
@@ -396,7 +485,6 @@ TEST(ConcurrencyTest, CrossShardConservationUnderChurnAndFlexing) {
   std::vector<std::atomic<std::uint8_t>> seen(
       static_cast<std::size_t>(kProducerTotal));
   std::atomic<std::int64_t> dispatched{0};
-  std::atomic<std::int64_t> purged{0};
   std::atomic<std::int64_t> mutator_sent{0};
   std::atomic<std::int64_t> replies_shipped{0};
   std::atomic<std::int64_t> replies_received{0};
@@ -454,7 +542,10 @@ TEST(ConcurrencyTest, CrossShardConservationUnderChurnAndFlexing) {
                    cyc);
         mutator_sent.fetch_add(1, std::memory_order_relaxed);
       }
-      purged.fetch_add(rt.RetireOperators({op}), std::memory_order_relaxed);
+      // The return value counts only this call's purges: a mailbox a
+      // worker holds active is purged later, in that worker's release path.
+      // The ledger therefore reads the merged stats' purge count instead.
+      rt.RetireOperators({op});
       if (cyc % 5 == 4) flex_epoch.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::yield();
     }
@@ -497,7 +588,8 @@ TEST(ConcurrencyTest, CrossShardConservationUnderChurnAndFlexing) {
           }
           if (sends_done.load(std::memory_order_acquire) &&
               dispatched.load(std::memory_order_relaxed) +
-                      purged.load(std::memory_order_relaxed) ==
+                      static_cast<std::int64_t>(
+                          rt.MergedSchedStats().purged) ==
                   kProducerTotal + mutator_sent.load(
                                        std::memory_order_relaxed)) {
             return;
@@ -516,7 +608,8 @@ TEST(ConcurrencyTest, CrossShardConservationUnderChurnAndFlexing) {
   }
 
   // The ledger balances: ingested == dispatched + purged, in-flight == 0.
-  EXPECT_EQ(dispatched.load() + purged.load(),
+  EXPECT_EQ(dispatched.load() +
+                static_cast<std::int64_t>(rt.MergedSchedStats().purged),
             kProducerTotal + mutator_sent.load());
   EXPECT_EQ(rt.transport_stats().in_flight(), 0u);
   EXPECT_EQ(rt.TotalPending(), 0u);

@@ -25,6 +25,7 @@
 #include "shard/inproc_transport.h"
 #include "shard/placement.h"
 #include "shard/session.h"
+#include "shard/shard_runtime.h"
 #include "shard/socket_transport.h"
 #include "shard/wire.h"
 #include "state/slate_store.h"
@@ -239,9 +240,47 @@ TEST(WireCodec, EveryByteCorruptionRejected) {
       scratch.batch.Recycle();
     }
   }
-  // FNV-1a catches every single-byte flip of this frame (the checksum also
+  // XXH64 catches every single-byte flip of this frame (the checksum also
   // covers the header, so magic/kind/length flips reject too).
   EXPECT_EQ(rejected, static_cast<int>(full.size()));
+  in.batch.Recycle();
+  ReleaseFrame(std::move(frame));
+}
+
+TEST(WireCodec, ChecksumIsXxh64) {
+  auto xxh = [](const char* text) {
+    return Xxh64(reinterpret_cast<const std::uint8_t*>(text),
+                 std::strlen(text));
+  };
+  EXPECT_EQ(xxh(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh("abc"), 0x44BC2CF5AD770999ULL);
+  // >= 32 bytes: one stripe, then 8-byte + 1-byte (and 4-byte) tails.
+  EXPECT_EQ(xxh("The quick brown fox jumps over the lazy dog"),
+            0x0B242D361FDA71BCULL);
+  EXPECT_EQ(xxh("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(WireCodec, EveryBitFlipRejected) {
+  Rng rng(13);
+  Message in = RandomMessage(rng, 5);
+  WireFrame frame = AcquireFrame();
+  EncodeMessage(in, frame);
+  const std::vector<std::uint8_t> full = frame.bytes;
+  int accepted = 0;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      frame.bytes = full;
+      frame.bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+      Message out;
+      if (DecodeMessage(frame, out)) {
+        ++accepted;
+        out.batch.Recycle();
+      }
+      EXPECT_TRUE(out.batch.keys.empty());
+    }
+  }
+  EXPECT_EQ(accepted, 0);
   in.batch.Recycle();
   ReleaseFrame(std::move(frame));
 }
@@ -585,6 +624,64 @@ ChaosRunOutcome RunSessionChaos(int shards, int per_channel,
   out.session = session.stats();
   out.faults = faulty.stats();
   return out;
+}
+
+TEST(SessionChaos, TimersSaturateAtTheEndOfTime) {
+  // A clock a hair below kTimeMax: every `now + delay` the session and the
+  // link compute lies past the end of time and must clamp to kTimeMax
+  // ("never") rather than wrap into the past. At now == kTimeMax every
+  // timer is due, so the frame still gets through exactly once.
+  ShardRuntimeOptions opts;
+  opts.num_shards = 2;
+  opts.workers_per_shard = 1;
+  opts.seed = 5;
+  opts.link = {.base = Micros(200), .jitter = Micros(50)};
+  opts.session.enabled = true;
+  ShardRuntime rt(std::move(opts));
+  Rng rng(6);
+  Message m = RandomMessage(rng, 3);
+  std::vector<std::pair<int, SimTime>> deliveries;
+  auto all_at_end = [&deliveries] {
+    return std::all_of(deliveries.begin(), deliveries.end(),
+                       [](const auto& d) { return d.second == kTimeMax; });
+  };
+
+  EXPECT_EQ(rt.SendMessage(0, 1, kTimeMax - Micros(100), m), kTimeMax);
+  EXPECT_EQ(rt.NextSessionDeadline(0), kTimeMax);  // the armed RTO
+  EXPECT_EQ(rt.ServiceSession(0, kTimeMax - 1, &deliveries), kTimeMax);
+  EXPECT_TRUE(deliveries.empty());  // nothing is due before the end
+
+  // At the end of time the RTO fires: one retransmit, re-armed saturated.
+  EXPECT_EQ(rt.ServiceSession(0, kTimeMax, &deliveries), kTimeMax);
+  EXPECT_FALSE(deliveries.empty());
+  EXPECT_TRUE(all_at_end());
+  EXPECT_EQ(rt.transport_stats().retransmits, 1u);
+
+  Message got;
+  WireReply reply;
+  ASSERT_EQ(rt.ReceiveOne(1, kTimeMax, got, reply), ReceiveKind::kMessage);
+  ExpectBitIdentical(m, got);
+  got.batch.Recycle();
+  // The retransmitted copy is dropped as a duplicate.
+  while (rt.ReceiveOne(1, kTimeMax, got, reply) != ReceiveKind::kNone) {
+    ADD_FAILURE() << "delivered twice";
+  }
+  EXPECT_EQ(rt.NextSessionDeadline(1), kTimeMax);
+  deliveries.clear();
+  EXPECT_EQ(rt.ServiceSession(1, kTimeMax, &deliveries), kTimeMax);
+  EXPECT_FALSE(deliveries.empty());  // the standalone ack
+  EXPECT_TRUE(all_at_end());
+  EXPECT_EQ(rt.ReceiveOne(0, kTimeMax, got, reply), ReceiveKind::kNone);
+
+  // Acked: no further retransmits, the books balance.
+  deliveries.clear();
+  rt.ServiceSession(0, kTimeMax, &deliveries);
+  const TransportStats ts = rt.transport_stats();
+  EXPECT_EQ(ts.sent_unique, 1u);
+  EXPECT_EQ(ts.delivered, 1u);
+  EXPECT_EQ(ts.retransmits, 1u);
+  EXPECT_EQ(ts.dup_drops, 1u);
+  m.batch.Recycle();
 }
 
 TEST(SessionChaos, CleanChannelDeliversWithoutRetransmits) {
