@@ -18,12 +18,18 @@
 //
 // Contended panel (sharded control plane): the same dispatch path hammered
 // from 8 worker threads, (a) behind one global mutex -- the pre-refactor
-// ThreadRuntime dispatch path, claim-one contract -- and (b) calling the
-// internally-synchronized scheduler directly with the batched contract. All
-// google-benchmark results land in the JSON as gb.<name>.ns_per_op so
-// before/after runs can be diffed mechanically (bench/compare_baselines.py).
+// ThreadRuntime dispatch path, claim-one contract -- (b) calling the
+// internally-synchronized scheduler directly with the batched contract,
+// releasing each claim with OnComplete, and (c) the same as (b), but ending
+// each activation with CompleteAndDequeue, which keeps a continuing
+// operator's claim. (b) and (c) also report the ready-structure traffic per
+// dispatch (ready_inserts_per_dispatch, stale_pops_per_dispatch). All
+// google-benchmark results land in the JSON as gb.<name>.ns_per_op (and
+// gb.<name>.<counter> for the per-dispatch counters) so before/after runs
+// can be diffed mechanically (bench/compare_baselines.py).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -202,13 +208,17 @@ BENCHMARK(BM_ContextConvertAlone);
 // contract directly.
 
 struct ContendedRig {
-  CameoScheduler sched;
+  // The configured batch size is what CompleteAndDequeue drains; the other
+  // variants pass their batch size explicitly.
+  CameoScheduler sched{SchedulerConfig{.batch_size = static_cast<int>(kDrain)}};
   std::atomic<std::int64_t> next_id{0};
 };
 ContendedRig* g_contended = nullptr;
 std::mutex g_global_lock;  // emulates the pre-refactor control-plane mutex
 
-template <bool kGlobalLock>
+enum class Contended { kGlobalLock, kSharded, kFused };
+
+template <Contended kMode>
 void ContendedBody(benchmark::State& state) {
   if (state.thread_index() == 0) {
     delete g_contended;
@@ -228,7 +238,7 @@ void ContendedBody(benchmark::State& state) {
     ContendedRig& rig = *g_contended;
     std::int64_t id = rig.next_id.fetch_add(1, std::memory_order_relaxed);
     Message m = MakeMsg(id, RunOfEightOp(id));
-    if constexpr (kGlobalLock) {
+    if constexpr (kMode == Contended::kGlobalLock) {
       {
         std::lock_guard lock(g_global_lock);
         rig.sched.Enqueue(std::move(m), WorkerId{}, id);
@@ -245,7 +255,7 @@ void ContendedBody(benchmark::State& state) {
         }
         std::this_thread::yield();  // a real worker parks on a miss
       }
-    } else {
+    } else if constexpr (kMode == Contended::kSharded) {
       rig.sched.Enqueue(std::move(m), WorkerId{}, id);
       if (next == stash.size()) {
         stash.clear();
@@ -257,20 +267,55 @@ void ContendedBody(benchmark::State& state) {
       }
       benchmark::DoNotOptimize(stash[next]);
       ++next;
+    } else {
+      // The claim on stash's operator is held until its messages are
+      // consumed, as in the runtime's worker loop.
+      rig.sched.Enqueue(std::move(m), WorkerId{}, id);
+      if (next == stash.size()) {
+        const bool holding = !stash.empty();
+        const OperatorId op = holding ? stash.front().target : OperatorId{};
+        stash.clear();
+        next = 0;
+        if (!holding || rig.sched.CompleteAndDequeue(op, w, id, stash) == 0) {
+          while (rig.sched.DequeueBatch(w, id, stash) == 0) {
+            std::this_thread::yield();  // a real worker parks on a miss
+          }
+        }
+      }
+      benchmark::DoNotOptimize(stash[next]);
+      ++next;
     }
   }
   state.SetItemsProcessed(state.iterations());
+  if constexpr (kMode != Contended::kGlobalLock) {
+    // The loop's exit is a barrier across threads, so thread 0 reads the
+    // whole run's counts (per-thread counters are summed; only one sets).
+    if (state.thread_index() == 0) {
+      const SchedulerStats st = g_contended->sched.stats();
+      const double dispatched =
+          static_cast<double>(std::max<std::uint64_t>(st.dispatched, 1));
+      state.counters["ready_inserts_per_dispatch"] =
+          static_cast<double>(st.ready_inserts) / dispatched;
+      state.counters["stale_pops_per_dispatch"] =
+          static_cast<double>(st.stale_pops) / dispatched;
+    }
+  }
 }
 
 void BM_CameoSchedule_GlobalLock8(benchmark::State& state) {
-  ContendedBody<true>(state);
+  ContendedBody<Contended::kGlobalLock>(state);
 }
 BENCHMARK(BM_CameoSchedule_GlobalLock8)->Threads(8)->UseRealTime();
 
 void BM_CameoSchedule_Sharded8(benchmark::State& state) {
-  ContendedBody<false>(state);
+  ContendedBody<Contended::kSharded>(state);
 }
 BENCHMARK(BM_CameoSchedule_Sharded8)->Threads(8)->UseRealTime();
+
+void BM_CameoSchedule_Fused8(benchmark::State& state) {
+  ContendedBody<Contended::kFused>(state);
+}
+BENCHMARK(BM_CameoSchedule_Fused8)->Threads(8)->UseRealTime();
 
 // Right panel: overhead fraction vs batch size, using the calibrated local
 // aggregation cost model (0.3 ms + 1.5 us/tuple).
@@ -302,6 +347,12 @@ class MetricCapturingReporter final : public benchmark::ConsoleReporter {
         if (c == ':' || c == '/') c = '_';
       }
       ctx_.Metric(key, run.GetAdjustedRealTime());
+      const std::string base = key.substr(0, key.size() - 10);  // ".ns_per_op"
+      for (const auto& [name, counter] : run.counters) {
+        if (name.find("_per_dispatch") != std::string::npos) {
+          ctx_.Metric(base + "." + name, counter.value);
+        }
+      }
     }
     ConsoleReporter::ReportRuns(runs);
   }

@@ -289,25 +289,30 @@ void ThreadRuntime::WorkerLoop(int index) {
   WorkerId w{index};
   Rng rng(config_.seed + static_cast<std::uint64_t>(index) * 7919);
   std::vector<std::tuple<int, EventBatch, SimTime>> outs;
-  // Activation batch (claim-and-drain contract): all messages target the
-  // same operator and the claim is held until the OnComplete below. Both
-  // scratch vectors retain capacity, keeping the loop allocation-free.
+  // The activation this worker holds (claim-and-drain contract): all
+  // messages target one operator, claimed until the CompleteAndDequeue or
+  // OnComplete below. Empty while the worker holds nothing. Both scratch
+  // vectors retain capacity, keeping the loop allocation-free.
   std::vector<Message> batch;
+  auto leaving = [this, index] {
+    return stop_.load(std::memory_order_seq_cst) ||
+           index >= target_workers_.load(std::memory_order_seq_cst);
+  };
+  // Sleeps until woken or 200 us pass; false when the worker must leave.
+  auto park = [&] {
+    std::unique_lock lock(wake_mu_);
+    if (leaving()) return false;
+    wake_cv_.wait_for(lock, std::chrono::microseconds(200));
+    return true;
+  };
 
   while (true) {
-    if (stop_.load(std::memory_order_seq_cst) ||
-        index >= target_workers_.load(std::memory_order_seq_cst)) {
-      return;
-    }
-    batch.clear();
-    if (scheduler_->DequeueBatch(w, Now(), batch) == 0) {
-      std::unique_lock lock(wake_mu_);
-      if (stop_.load(std::memory_order_seq_cst) ||
-          index >= target_workers_.load(std::memory_order_seq_cst)) {
-        return;
+    if (batch.empty()) {
+      if (leaving()) return;
+      if (scheduler_->DequeueBatch(w, Now(), batch) == 0) {
+        if (!park()) return;
+        continue;
       }
-      wake_cv_.wait_for(lock, std::chrono::microseconds(200));
-      continue;
     }
 
     // Invocations run with no locks held: the scheduler's operator
@@ -349,12 +354,24 @@ void ThreadRuntime::WorkerLoop(int index) {
       // Last reader of this message's columns: park them for reuse.
       msg.batch.Recycle();
     }
-    scheduler_->OnComplete(target, w, Now());
-    // Only after OnComplete and output routing: the counters hit zero iff
-    // the dataflow (respectively the job) is quiescent.
     JobState* js = job_states_.Find(op.job());
     CAMEO_EXPECTS(js != nullptr);
-    for (std::size_t i = 0; i < batch.size(); ++i) FinishOne(*js);
+    const std::size_t done = batch.size();
+    batch.clear();
+    // A continuing operator keeps its claim across CompleteAndDequeue, so a
+    // leaving worker must release it with OnComplete: a claim that outlived
+    // the worker would strand the operator's backlog.
+    const bool leave = leaving();
+    std::size_t next = 0;
+    if (leave) {
+      scheduler_->OnComplete(target, w, Now());
+    } else {
+      next = scheduler_->CompleteAndDequeue(target, w, Now(), batch);
+    }
+    // Only after the completion and output routing: the counters hit zero
+    // iff the dataflow (respectively the job) is quiescent.
+    for (std::size_t i = 0; i < done; ++i) FinishOne(*js);
+    if (leave || (next == 0 && !park())) return;
   }
 }
 

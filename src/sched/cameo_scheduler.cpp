@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/check.h"
-
 namespace cameo {
 
 CameoScheduler::CameoScheduler(SchedulerConfig config)
@@ -18,18 +16,9 @@ Priority CameoScheduler::EffectivePri(const Message& m) const {
   return pri;
 }
 
-bool CameoScheduler::StillQueued(OperatorId op, std::uint64_t epoch) const {
-  Mailbox* mb = table_.Find(op);
-  return mb != nullptr && mb->InQueuedSession(epoch);
-}
-
 void CameoScheduler::Release(OperatorId op, Mailbox& mb, WorkerId w) {
-  if (mb.retiring()) {
-    FinishRetire(mb, w);
-    return;
-  }
-  ReleaseMailbox(
-      mb,
+  ReleaseClaimed(
+      mb, w,
       [this](Mailbox& m) {  // owner-side: safe to peek the buffer
         ReadyKey key = KeyFor(m.PeekBest());
         m.set_registered_pri(key.pri);
@@ -38,9 +27,12 @@ void CameoScheduler::Release(OperatorId op, Mailbox& mb, WorkerId w) {
       [this, op](ReadyKey key, std::uint64_t epoch) {
         ready_.Push(key, op, epoch);
       });
-  // A retire that raced the release: whoever can still claim the mailbox
-  // finishes the purge (see scheduler.h retire protocol).
-  if (mb.retiring() && mb.TryClaim()) FinishRetire(mb, w);
+}
+
+std::optional<ReadyKey> CameoScheduler::CleanTop(WorkerId w) {
+  return ready_.CleanTopKey([this, w](OperatorId id, std::uint64_t epoch) {
+    return LiveEntry(id, epoch, w);
+  });
 }
 
 void CameoScheduler::PurgeReady(const std::vector<OperatorId>& ops) {
@@ -54,10 +46,8 @@ std::size_t CameoScheduler::Dispatch(Mailbox& mb, WorkerId w, std::size_t max,
   // not batch_size. CleanTopKey is one small-lock peek; like the quantum
   // yield check the result is advisory (the head can move the instant the
   // lock drops), but the drain never runs past a head it has seen.
-  return DrainClaimed(mb, w, max, out, [this](Mailbox& m) {
-    auto top = ready_.CleanTopKey([this](OperatorId id, std::uint64_t epoch) {
-      return StillQueued(id, epoch);
-    });
+  return DrainClaimed(mb, w, max, out, [this, w](Mailbox& m) {
+    auto top = CleanTop(w);
     return !top.has_value() || !(*top < KeyFor(m.PeekBest()));
   });
 }
@@ -92,6 +82,7 @@ void CameoScheduler::Enqueue(Message m, WorkerId producer, SimTime now) {
           // A raced-away epoch only strands a stale entry; the message
           // itself is covered by the owner's release re-queue.
           ready_.Push(key, op, *epoch);
+          shards_.ready_inserts.Inc(shard_of(producer));
         }
         return;
       }
@@ -100,6 +91,7 @@ void CameoScheduler::Enqueue(Message m, WorkerId producer, SimTime now) {
         if (mb.TryMarkQueued(epoch)) {
           mb.set_registered_pri(key.pri);
           ready_.Push(key, op, epoch);
+          shards_.ready_inserts.Inc(shard_of(producer));
           return;
         }
         break;  // lost the transition race; re-read the state
@@ -108,81 +100,43 @@ void CameoScheduler::Enqueue(Message m, WorkerId producer, SimTime now) {
   }
 }
 
-std::size_t CameoScheduler::DequeueBatch(WorkerId w, SimTime now,
-                                         std::size_t max_messages,
-                                         std::vector<Message>& out) {
+std::size_t CameoScheduler::Continue(Mailbox& mb, WorkerId w, SimTime now,
+                                     std::size_t max,
+                                     std::vector<Message>& out) {
+  // Keep draining the current operator within the quantum, or past it when
+  // no strictly higher-priority operator waits (paper §5.2).
   WorkerSlot& sl = slot(w);
-
-  // Continuation: keep draining the current operator within the quantum, or
-  // past it when no strictly higher-priority operator waits (paper §5.2).
-  if (sl.has_current) {
-    Mailbox* mb = table_.Find(sl.current);
-    if (mb != nullptr && mb->size() > 0 && mb->TryClaim()) {
-      if (mb->retiring()) {  // current operator's query was removed
-        FinishRetire(*mb, w);
-        sl.has_current = false;
-      } else {
-        mb->set_registered_pri(kPriorityFloor);
-        mb->DrainInbox();
-        if (mb->buffer_empty()) {
-          Release(sl.current, *mb, w);  // raced with a competing claim
-        } else {
-          bool cont = now - sl.quantum_start < config_.quantum;
-          if (!cont) {
-            const ReadyKey head = KeyFor(mb->PeekBest());
-            auto top = ready_.CleanTopKey([this](OperatorId id,
-                                                 std::uint64_t epoch) {
-              return StillQueued(id, epoch);
-            });
-            cont = !top.has_value() || !(*top < head);
-            if (cont) sl.quantum_start = now;  // start a fresh quantum
-          }
-          if (cont) {
-            shards_.continuations.Inc(shard_of(w));
-            return Dispatch(*mb, w, max_messages, out);
-          }
-          Release(sl.current, *mb, w);  // yield: back into the ready queue
-        }
-      }
-    }
+  mb.set_registered_pri(kPriorityFloor);
+  bool cont = now - sl.quantum_start < config_.quantum;
+  if (!cont) {
+    auto top = CleanTop(w);
+    cont = !top.has_value() || !(*top < KeyFor(mb.PeekBest()));
+    if (cont) sl.quantum_start = now;  // start a fresh quantum
   }
+  if (!cont) {
+    Release(sl.current, mb, w);  // yield: back into the ready queue
+    return 0;
+  }
+  shards_.continuations.Inc(shard_of(w));
+  return Dispatch(mb, w, max, out);
+}
 
+std::size_t CameoScheduler::DequeueReady(WorkerId w, SimTime now,
+                                         std::size_t max,
+                                         std::vector<Message>& out) {
   // Dispatch the most urgent runnable operator; stale entries fail the
   // kQueued -> kActive claim and are skipped (lazy deletion).
   while (auto e = ready_.Pop()) {
-    Mailbox* mb = table_.Find(e->op);
-    if (mb == nullptr || !mb->TryClaimQueued(e->epoch)) continue;
-    if (mb->retiring()) {  // removed id: discard its backlog, never dispatch
-      FinishRetire(*mb, w);
-      continue;
-    }
+    Mailbox* mb = ClaimEntry(e->op, e->epoch, w);
+    if (mb == nullptr || !BeginActivation(e->op, *mb, w, now)) continue;
     mb->set_registered_pri(kPriorityFloor);
-    mb->DrainInbox();
-    if (mb->buffer_empty()) {  // defensive: should not happen (see Release)
-      Release(e->op, *mb, w);
-      continue;
-    }
-    if (sl.has_current && sl.current != e->op) {
-      shards_.operator_swaps.Inc(shard_of(w));
-    }
-    sl.current = e->op;
-    sl.has_current = true;
-    sl.quantum_start = now;
-    return Dispatch(*mb, w, max_messages, out);
+    return Dispatch(*mb, w, max, out);
   }
   return 0;
 }
 
-void CameoScheduler::OnComplete(OperatorId op, WorkerId w, SimTime /*now*/) {
-  Mailbox* mb = table_.Find(op);
-  CAMEO_EXPECTS(mb != nullptr && mb->state() == Mailbox::State::kActive);
-  Release(op, *mb, w);
-}
-
 std::optional<Priority> CameoScheduler::TopPriority() {
-  auto top = ready_.CleanTopKey([this](OperatorId id, std::uint64_t epoch) {
-    return StillQueued(id, epoch);
-  });
+  auto top = CleanTop(WorkerId{});
   if (!top.has_value()) return std::nullopt;
   return top->pri;
 }

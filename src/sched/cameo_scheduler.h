@@ -32,10 +32,6 @@ class CameoScheduler final : public Scheduler {
   explicit CameoScheduler(SchedulerConfig config = {});
 
   void Enqueue(Message m, WorkerId producer, SimTime now) override;
-  std::size_t DequeueBatch(WorkerId w, SimTime now, std::size_t max_messages,
-                           std::vector<Message>& out) override;
-  using Scheduler::DequeueBatch;
-  void OnComplete(OperatorId op, WorkerId w, SimTime now) override;
 
   std::string name() const override { return "Cameo"; }
 
@@ -45,16 +41,20 @@ class CameoScheduler final : public Scheduler {
 
  protected:
   void PurgeReady(const std::vector<OperatorId>& ops) override;
+  void Release(OperatorId op, Mailbox& mb, WorkerId w) override;
+  std::size_t Continue(Mailbox& mb, WorkerId w, SimTime now, std::size_t max,
+                       std::vector<Message>& out) override;
+  std::size_t DequeueReady(WorkerId w, SimTime now, std::size_t max,
+                           std::vector<Message>& out) override;
 
  private:
   Priority EffectivePri(const Message& m) const;
   ReadyKey KeyFor(const Message& m) const {
     return ReadyKey{EffectivePri(m), m.id.value};
   }
-  bool StillQueued(OperatorId op, std::uint64_t epoch) const;
-  /// Re-queues, idles, or (for a retiring operator) retires a claimed
-  /// mailbox (release protocol).
-  void Release(OperatorId op, Mailbox& mb, WorkerId w);
+  /// The ready queue's live head key, discarding (and counting against
+  /// worker `w`) the stale entries above it.
+  std::optional<ReadyKey> CleanTop(WorkerId w);
   /// Drains up to `max` messages from the claimed mailbox, stopping early
   /// when a strictly more urgent operator is ready (priority re-check
   /// between messages preserves Cameo dispatch order under batching).

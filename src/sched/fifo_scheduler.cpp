@@ -2,22 +2,15 @@
 
 #include <unordered_set>
 
-#include "common/check.h"
-
 namespace cameo {
 
 FifoScheduler::FifoScheduler(SchedulerConfig config)
     : Scheduler(config, MailboxOrder::kFifo) {}
 
 void FifoScheduler::Release(OperatorId op, Mailbox& mb, WorkerId w) {
-  if (mb.retiring()) {
-    FinishRetire(mb, w);
-    return;
-  }
-  ReleaseMailbox(
-      mb, [](Mailbox&) { return 0; },
+  ReleaseClaimed(
+      mb, w, [](Mailbox&) { return 0; },
       [this, op](int, std::uint64_t epoch) { ready_.Push(op, epoch); });
-  if (mb.retiring() && mb.TryClaim()) FinishRetire(mb, w);
 }
 
 void FifoScheduler::PurgeReady(const std::vector<OperatorId>& ops) {
@@ -52,69 +45,41 @@ void FifoScheduler::Enqueue(Message m, WorkerId producer, SimTime now) {
     std::uint64_t epoch = 0;
     if (mb.TryMarkQueued(epoch)) {
       ready_.Push(op, epoch);
+      shards_.ready_inserts.Inc(shard_of(producer));
       return;
     }
   }
 }
 
-std::size_t FifoScheduler::DequeueBatch(WorkerId w, SimTime now,
-                                        std::size_t max_messages,
-                                        std::vector<Message>& out) {
+std::size_t FifoScheduler::Continue(Mailbox& mb, WorkerId w, SimTime now,
+                                    std::size_t max,
+                                    std::vector<Message>& out) {
   WorkerSlot& sl = slot(w);
-
-  if (sl.has_current) {
-    Mailbox* mb = table_.Find(sl.current);
-    if (mb != nullptr && mb->size() > 0 && mb->TryClaim()) {
-      if (mb->retiring()) {  // current operator's query was removed
-        FinishRetire(*mb, w);
-        sl.has_current = false;
-      } else {
-        mb->DrainInbox();
-        if (mb->buffer_empty()) {
-          Release(sl.current, *mb, w);
-        } else {
-          bool cont = now - sl.quantum_start < config_.quantum;
-          if (!cont && ready_.empty()) {
-            cont = true;  // nothing else to run: keep going, fresh quantum
-            sl.quantum_start = now;
-          }
-          if (cont) {
-            shards_.continuations.Inc(shard_of(w));
-            return Dispatch(*mb, w, max_messages, out);
-          }
-          Release(sl.current, *mb, w);  // quantum expired: rotate to the tail
-        }
-      }
-    }
-  }
-
-  while (auto e = ready_.Pop()) {
-    Mailbox* mb = table_.Find(e->op);
-    if (mb == nullptr || !mb->TryClaimQueued(e->epoch)) continue;  // stale
-    if (mb->retiring()) {  // removed id: discard its backlog, never dispatch
-      FinishRetire(*mb, w);
-      continue;
-    }
-    mb->DrainInbox();
-    if (mb->buffer_empty()) {  // defensive: kQueued implies pending work
-      Release(e->op, *mb, w);
-      continue;
-    }
-    if (sl.has_current && sl.current != e->op) {
-      shards_.operator_swaps.Inc(shard_of(w));
-    }
-    sl.current = e->op;
-    sl.has_current = true;
+  auto live = [this, w](OperatorId id, std::uint64_t epoch) {
+    return LiveEntry(id, epoch, w);
+  };
+  bool cont = now - sl.quantum_start < config_.quantum;
+  if (!cont && ready_.CleanEmpty(live)) {
+    cont = true;  // nothing else to run: keep going, fresh quantum
     sl.quantum_start = now;
-    return Dispatch(*mb, w, max_messages, out);
   }
-  return 0;
+  if (!cont) {
+    Release(sl.current, mb, w);  // quantum expired: rotate to the tail
+    return 0;
+  }
+  shards_.continuations.Inc(shard_of(w));
+  return Dispatch(mb, w, max, out);
 }
 
-void FifoScheduler::OnComplete(OperatorId op, WorkerId w, SimTime /*now*/) {
-  Mailbox* mb = table_.Find(op);
-  CAMEO_EXPECTS(mb != nullptr && mb->state() == Mailbox::State::kActive);
-  Release(op, *mb, w);
+std::size_t FifoScheduler::DequeueReady(WorkerId w, SimTime now,
+                                        std::size_t max,
+                                        std::vector<Message>& out) {
+  while (auto e = ready_.Pop()) {
+    Mailbox* mb = ClaimEntry(e->op, e->epoch, w);
+    if (mb == nullptr || !BeginActivation(e->op, *mb, w, now)) continue;
+    return Dispatch(*mb, w, max, out);
+  }
+  return 0;
 }
 
 }  // namespace cameo

@@ -20,18 +20,18 @@ class FifoScheduler final : public Scheduler {
   explicit FifoScheduler(SchedulerConfig config = {});
 
   void Enqueue(Message m, WorkerId producer, SimTime now) override;
-  std::size_t DequeueBatch(WorkerId w, SimTime now, std::size_t max_messages,
-                           std::vector<Message>& out) override;
-  using Scheduler::DequeueBatch;
-  void OnComplete(OperatorId op, WorkerId w, SimTime now) override;
 
   std::string name() const override { return "FIFO"; }
 
  protected:
   void PurgeReady(const std::vector<OperatorId>& ops) override;
+  void Release(OperatorId op, Mailbox& mb, WorkerId w) override;
+  std::size_t Continue(Mailbox& mb, WorkerId w, SimTime now, std::size_t max,
+                       std::vector<Message>& out) override;
+  std::size_t DequeueReady(WorkerId w, SimTime now, std::size_t max,
+                           std::vector<Message>& out) override;
 
  private:
-  void Release(OperatorId op, Mailbox& mb, WorkerId w);
   std::size_t Dispatch(Mailbox& mb, WorkerId w, std::size_t max,
                        std::vector<Message>& out);
 

@@ -2,21 +2,15 @@
 
 #include <unordered_set>
 
-#include "common/check.h"
-
 namespace cameo {
 
 OrleansScheduler::OrleansScheduler(SchedulerConfig config)
     : Scheduler(config, MailboxOrder::kFifo) {}
 
-void OrleansScheduler::Release(OperatorId op, Mailbox& mb, WorkerId w,
-                               bool to_global) {
-  if (mb.retiring()) {
-    FinishRetire(mb, w);
-    return;
-  }
-  ReleaseMailbox(
-      mb, [](Mailbox&) { return 0; },
+void OrleansScheduler::ReleaseTo(OperatorId op, Mailbox& mb, WorkerId w,
+                                 bool to_global) {
+  ReleaseClaimed(
+      mb, w, [](Mailbox&) { return 0; },
       [this, op, w, to_global](int, std::uint64_t epoch) {
         if (to_global || !w.valid()) {
           ready_.PushGlobal(op, epoch);
@@ -24,7 +18,6 @@ void OrleansScheduler::Release(OperatorId op, Mailbox& mb, WorkerId w,
           ready_.PushLocal(w, op, epoch);  // work stays near its worker
         }
       });
-  if (mb.retiring() && mb.TryClaim()) FinishRetire(mb, w);
 }
 
 void OrleansScheduler::PurgeReady(const std::vector<OperatorId>& ops) {
@@ -64,91 +57,47 @@ void OrleansScheduler::Enqueue(Message m, WorkerId producer, SimTime now) {
       } else {
         ready_.PushGlobal(op, epoch);
       }
+      shards_.ready_inserts.Inc(shard_of(producer));
       return;
     }
   }
 }
 
-std::size_t OrleansScheduler::DequeueBatch(WorkerId w, SimTime now,
-                                           std::size_t max_messages,
+std::size_t OrleansScheduler::Continue(Mailbox& mb, WorkerId w, SimTime now,
+                                       std::size_t max,
+                                       std::vector<Message>& out) {
+  WorkerSlot& sl = slot(w);
+  if (now - sl.quantum_start >= config_.quantum) {
+    // Quantum expired: yield the turn to the global tail.
+    ReleaseTo(sl.current, mb, w, /*to_global=*/true);
+    return 0;
+  }
+  shards_.continuations.Inc(shard_of(w));
+  return Dispatch(mb, w, max, out);
+}
+
+std::size_t OrleansScheduler::DequeueReady(WorkerId w, SimTime now,
+                                           std::size_t max,
                                            std::vector<Message>& out) {
   ready_.RegisterWorker(w);
-  WorkerSlot& sl = slot(w);
-
-  if (sl.has_current) {
-    Mailbox* mb = table_.Find(sl.current);
-    if (mb != nullptr && mb->size() > 0 && mb->TryClaim()) {
-      if (mb->retiring()) {  // current operator's query was removed
-        FinishRetire(*mb, w);
-        sl.has_current = false;
-      } else {
-        mb->DrainInbox();
-        if (mb->buffer_empty()) {
-          Release(sl.current, *mb, w, /*to_global=*/false);
-        } else {
-          bool cont = now - sl.quantum_start < config_.quantum;
-          if (cont) {
-            shards_.continuations.Inc(shard_of(w));
-            return Dispatch(*mb, w, max_messages, out);
-          }
-          // Quantum expired: yield the turn to the global tail.
-          Release(sl.current, *mb, w, /*to_global=*/true);
-        }
-      }
-    }
-  }
-
   for (;;) {
-    auto next = ready_.Take(w, [this](OperatorId id, std::uint64_t epoch) {
-      Mailbox* mb = table_.Find(id);
-      return mb != nullptr && mb->TryClaimQueued(epoch);
+    auto next = ready_.Take(w, [this, w](OperatorId id, std::uint64_t epoch) {
+      return ClaimEntry(id, epoch, w) != nullptr;
     });
     if (!next.has_value()) break;
     Mailbox& mb = *table_.Find(*next);
-    if (mb.retiring()) {  // removed id: discard its backlog, never dispatch
-      FinishRetire(mb, w);
-      continue;
-    }
-    mb.DrainInbox();
-    if (mb.buffer_empty()) {  // defensive: kQueued implies pending work
-      Release(*next, mb, w, /*to_global=*/false);
-      continue;
-    }
-    if (sl.has_current && sl.current != *next) {
-      shards_.operator_swaps.Inc(shard_of(w));
-    }
-    sl.current = *next;
-    sl.has_current = true;
-    sl.quantum_start = now;
-    return Dispatch(mb, w, max_messages, out);
+    if (!BeginActivation(*next, mb, w, now)) continue;
+    return Dispatch(mb, w, max, out);
   }
 
   // Nothing anywhere else: resume the current operator if it still has work
   // (its yielded entry may have been claimed and exhausted above).
-  if (sl.has_current) {
-    Mailbox* mb = table_.Find(sl.current);
-    if (mb != nullptr && mb->size() > 0 && mb->TryClaim()) {
-      if (mb->retiring()) {
-        FinishRetire(*mb, w);
-        sl.has_current = false;
-        return 0;
-      }
-      mb->DrainInbox();
-      if (!mb->buffer_empty()) {
-        sl.quantum_start = now;
-        shards_.continuations.Inc(shard_of(w));
-        return Dispatch(*mb, w, max_messages, out);
-      }
-      Release(sl.current, *mb, w, /*to_global=*/false);
-    }
+  if (Mailbox* mb = ReclaimCurrent(w)) {
+    slot(w).quantum_start = now;
+    shards_.continuations.Inc(shard_of(w));
+    return Dispatch(*mb, w, max, out);
   }
   return 0;
-}
-
-void OrleansScheduler::OnComplete(OperatorId op, WorkerId w, SimTime /*now*/) {
-  Mailbox* mb = table_.Find(op);
-  CAMEO_EXPECTS(mb != nullptr && mb->state() == Mailbox::State::kActive);
-  Release(op, *mb, w, /*to_global=*/false);
 }
 
 }  // namespace cameo

@@ -28,10 +28,6 @@ class OrleansScheduler final : public Scheduler {
   explicit OrleansScheduler(SchedulerConfig config = {});
 
   void Enqueue(Message m, WorkerId producer, SimTime now) override;
-  std::size_t DequeueBatch(WorkerId w, SimTime now, std::size_t max_messages,
-                           std::vector<Message>& out) override;
-  using Scheduler::DequeueBatch;
-  void OnComplete(OperatorId op, WorkerId w, SimTime now) override;
 
   std::string name() const override { return "Orleans"; }
 
@@ -43,11 +39,19 @@ class OrleansScheduler final : public Scheduler {
 
  protected:
   void PurgeReady(const std::vector<OperatorId>& ops) override;
+  /// Remaining work goes to worker `w`'s bag (bag locality).
+  void Release(OperatorId op, Mailbox& mb, WorkerId w) override {
+    ReleaseTo(op, mb, w, /*to_global=*/false);
+  }
+  std::size_t Continue(Mailbox& mb, WorkerId w, SimTime now, std::size_t max,
+                       std::vector<Message>& out) override;
+  std::size_t DequeueReady(WorkerId w, SimTime now, std::size_t max,
+                           std::vector<Message>& out) override;
 
  private:
   /// Releases a claimed mailbox; remaining work goes to worker `w`'s bag
-  /// (bag locality) or, when `to_global` is set, to the global tail.
-  void Release(OperatorId op, Mailbox& mb, WorkerId w, bool to_global);
+  /// or, when `to_global` is set, to the global tail.
+  void ReleaseTo(OperatorId op, Mailbox& mb, WorkerId w, bool to_global);
   std::size_t Dispatch(Mailbox& mb, WorkerId w, std::size_t max,
                        std::vector<Message>& out);
 

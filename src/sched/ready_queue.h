@@ -141,8 +141,15 @@ class FifoReadyQueue {
     return e;
   }
 
-  bool empty() const {
+  /// Drops stale head entries (per `still_queued(op, epoch)`) and reports
+  /// whether no live entry remains. Advisory, like CleanTopKey.
+  template <typename StillQueuedFn>
+  bool CleanEmpty(StillQueuedFn&& still_queued) {
     std::lock_guard lock(mu_);
+    while (!queue_.empty() &&
+           !still_queued(queue_.front().op, queue_.front().epoch)) {
+      queue_.pop_front();
+    }
     return queue_.empty();
   }
 
@@ -260,10 +267,17 @@ class SlotReadyQueues {
     return e;
   }
 
-  bool empty(WorkerId w) const {
+  /// FifoReadyQueue::CleanEmpty on worker `w`'s run queue.
+  template <typename StillQueuedFn>
+  bool CleanEmpty(WorkerId w, StillQueuedFn&& still_queued) {
     std::lock_guard lock(mu_);
     auto it = queues_.find(w);
-    return it == queues_.end() || it->second.empty();
+    if (it == queues_.end()) return true;
+    RingQueue<ReadyEntry>& q = it->second;
+    while (!q.empty() && !still_queued(q.front().op, q.front().epoch)) {
+      q.pop_front();
+    }
+    return q.empty();
   }
 
   void EraseOps(const std::unordered_set<OperatorId>& ops) {

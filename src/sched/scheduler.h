@@ -3,18 +3,29 @@
 //
 // A scheduler owns all pending messages, grouped per target operator in a
 // MailboxTable (actor-model exclusivity: an operator never runs on two
-// workers at once). Workers call Dequeue when free and OnComplete when an
-// invocation finishes. The re-scheduling quantum (paper §5.2, default 1 ms)
-// controls how long a worker sticks with its current operator before
-// consulting the ready queue again; quantum 0 re-evaluates after every
-// message.
+// workers at once). An activation is one claimed batch of one operator:
+// DequeueBatch claims it, and between activations a worker calls
+// CompleteAndDequeue, which ends the current activation and hands over the
+// next. The re-scheduling quantum (paper §5.2, default 1 ms) controls how
+// long a worker sticks with its current operator before consulting the ready
+// queue again; quantum 0 re-evaluates after every message. While the worker
+// continues its operator, CompleteAndDequeue keeps the claim: the mailbox
+// never passes through the ready structure, and only a yield (or an empty
+// mailbox) releases it. OnComplete ends an activation and always releases;
+// worker loops call it only when the worker leaves (Stop or a pool shrink).
 //
 // Concurrency contract (see DESIGN.md §1): Enqueue may be called from any
-// thread concurrently with Dequeue/OnComplete on worker threads. Enqueue
-// appends lock-free to the target operator's mailbox and only touches the
-// policy's ReadyQueue (its own small lock) on an empty -> non-empty
-// transition; Dequeue/OnComplete claim and release mailboxes with atomic
-// state transitions. Statistics are sharded per worker and merged on read.
+// thread concurrently with the worker-side calls. Enqueue appends lock-free
+// to the target operator's mailbox and only touches the policy's ReadyQueue
+// (its own small lock) on an empty -> non-empty transition; workers claim
+// and release mailboxes with atomic state transitions. Statistics are
+// sharded per worker and merged on read.
+//
+// Each policy supplies three hooks: Release (its end-of-activation release
+// protocol), Continue (its continuation decision for the current operator)
+// and DequeueReady (its pop path). The claim steps around them -- re-claiming
+// the current operator, keeping the claim across a completion, validating
+// popped entries -- live once in this base class.
 //
 // Dynamic multi-tenancy: RetireOperators() retires a removed query's
 // mailboxes -- each rejects every later Enqueue (counted in
@@ -82,6 +93,13 @@ struct SchedulerStats {
   /// Messages refused by admission control before reaching the scheduler
   /// (overload shedding, shard_runtime.h). Not counted in `enqueued`.
   std::uint64_t shed = 0;
+  /// Entries inserted into the policy's ready structure, by Enqueue
+  /// registrations (and Cameo's priority-raise duplicates) and by releases
+  /// that leave work behind.
+  std::uint64_t ready_inserts = 0;
+  /// Ready entries discarded because their queued session had ended (lazy
+  /// deletion: the operator was claimed another way, or retired).
+  std::uint64_t stale_pops = 0;
 };
 
 class Scheduler {
@@ -100,14 +118,13 @@ class Scheduler {
   /// `max_messages` of its pending messages into `out` (appended, in the
   /// mailbox's dispatch order). Every message in the batch targets the same
   /// operator, which stays claimed (kActive): after invoking the batch the
-  /// worker must call OnComplete exactly once with that operator. Returns
-  /// the number of messages appended; 0 when nothing is runnable. Policy
-  /// invariants are re-checked between messages (see
-  /// SchedulerConfig::batch_size). Thread-safe; at most one concurrent call
-  /// per worker id.
-  virtual std::size_t DequeueBatch(WorkerId w, SimTime now,
-                                   std::size_t max_messages,
-                                   std::vector<Message>& out) = 0;
+  /// worker must end the activation with exactly one CompleteAndDequeue or
+  /// OnComplete call for that operator. Returns the number of messages
+  /// appended; 0 when nothing is runnable. Policy invariants are re-checked
+  /// between messages (see SchedulerConfig::batch_size). Thread-safe; at
+  /// most one concurrent worker-side call per worker id.
+  std::size_t DequeueBatch(WorkerId w, SimTime now, std::size_t max_messages,
+                           std::vector<Message>& out);
 
   /// DequeueBatch with the configured batch size.
   std::size_t DequeueBatch(WorkerId w, SimTime now, std::vector<Message>& out) {
@@ -119,9 +136,22 @@ class Scheduler {
   /// quantum-granularity callers); nullopt when nothing is runnable.
   std::optional<Message> Dequeue(WorkerId w, SimTime now);
 
-  /// Reports that worker `w` finished an invocation (single message or a
-  /// drained batch) of `op`. Must be called by the worker that dequeued it.
-  virtual void OnComplete(OperatorId op, WorkerId w, SimTime now) = 0;
+  /// Ends worker `w`'s activation of `op` (single message or a drained
+  /// batch) and releases the operator: from here on another worker may
+  /// claim it. Must be called by the worker that dequeued it.
+  void OnComplete(OperatorId op, WorkerId w, SimTime now);
+
+  /// Ends worker `w`'s activation of `op` and dequeues its next batch (the
+  /// configured batch size) in one call. Dispatches exactly what
+  /// OnComplete(op, w, now) followed by DequeueBatch(w, now, out) would,
+  /// but when `op` still has buffered work and is not retiring, the claim is
+  /// kept through the policy's continuation decision: a continuing operator
+  /// never re-enters the ready structure, and only a yield releases it
+  /// (exactly as OnComplete would) before the pop path runs. Returns the
+  /// number of messages appended, with the same contract as DequeueBatch;
+  /// 0 when nothing is runnable, in which case `op` has been released.
+  std::size_t CompleteAndDequeue(OperatorId op, WorkerId w, SimTime now,
+                                 std::vector<Message>& out);
 
   /// Retires a removed query's operators: marks their mailboxes retiring
   /// (later Enqueues are rejected and counted), purges whatever backlog is
@@ -154,6 +184,8 @@ class Scheduler {
     s.continuations = shards_.continuations.Total();
     s.rejected = shards_.rejected.Total();
     s.purged = shards_.purged.Total();
+    s.ready_inserts = shards_.ready_inserts.Total();
+    s.stale_pops = shards_.stale_pops.Total();
     return s;
   }
 
@@ -197,7 +229,30 @@ class Scheduler {
     ShardedCounter continuations;
     ShardedCounter rejected;
     ShardedCounter purged;
+    ShardedCounter ready_inserts;
+    ShardedCounter stale_pops;
   };
+
+  // ---- policy hooks ----
+
+  /// The policy's end-of-activation release of a claimed mailbox: re-queue
+  /// into its ready structure, idle, or finish a retire (see
+  /// ReleaseClaimed). Also the release OnComplete performs.
+  virtual void Release(OperatorId op, Mailbox& mb, WorkerId w) = 0;
+
+  /// The continuation decision for worker `w`'s current operator, whose
+  /// claimed mailbox `mb` holds buffered work: the quantum check, then the
+  /// policy's look at its ready structure. Either dispatches up to `max`
+  /// messages into `out` and returns the count, or yields -- releases the
+  /// claim the policy's way -- and returns 0.
+  virtual std::size_t Continue(Mailbox& mb, WorkerId w, SimTime now,
+                               std::size_t max, std::vector<Message>& out) = 0;
+
+  /// The pop path: claims the next operator from the policy's ready
+  /// structure and dispatches up to `max` of its messages; 0 when nothing is
+  /// runnable.
+  virtual std::size_t DequeueReady(WorkerId w, SimTime now, std::size_t max,
+                                   std::vector<Message>& out) = 0;
 
   /// Erases the retiring operators' entries from the subclass's ready
   /// structure(s) (eager cleanup; correctness rests on epoch validation).
@@ -230,6 +285,46 @@ class Scheduler {
   void DiscardIntoRetired(Mailbox& mb, WorkerId w) {
     if (mb.size() > 0 && mb.TryReclaimRetired()) FinishRetire(mb, w);
   }
+
+  /// The retire-aware release protocol every policy's Release runs: a
+  /// retiring mailbox is purged and parked at kRetired; otherwise
+  /// ReleaseMailbox re-queues it (`prepare`/`insert_ready`, counted in
+  /// ready_inserts) or idles it, and a retire that raced the release is
+  /// finished by whoever can still claim the mailbox.
+  template <typename PrepareFn, typename InsertReadyFn>
+  void ReleaseClaimed(Mailbox& mb, WorkerId w, PrepareFn&& prepare,
+                      InsertReadyFn&& insert_ready) {
+    if (mb.retiring()) {
+      FinishRetire(mb, w);
+      return;
+    }
+    if (ReleaseMailbox(mb, prepare, insert_ready)) {
+      shards_.ready_inserts.Inc(shard_of(w));
+    }
+    if (mb.retiring() && mb.TryClaim()) FinishRetire(mb, w);
+  }
+
+  /// Continuation claim: re-claims worker `w`'s current operator when it has
+  /// pending work. Returns its mailbox with the inbox drained and buffered
+  /// work to run; nullptr otherwise (a retiring operator is purged and
+  /// dropped as current, a mailbox found empty is released).
+  Mailbox* ReclaimCurrent(WorkerId w);
+
+  /// Pop-side validation of a ready entry: claims `op` iff its mailbox is
+  /// still in queued session `epoch`; a stale entry is counted and yields
+  /// nullptr.
+  Mailbox* ClaimEntry(OperatorId op, std::uint64_t epoch, WorkerId w);
+
+  /// Peek-side validation (CleanTopKey / CleanEmpty): true iff `op` is still
+  /// in queued session `epoch`. A stale entry is counted, since the caller
+  /// discards it.
+  bool LiveEntry(OperatorId op, std::uint64_t epoch, WorkerId w);
+
+  /// Pop-path start of an activation on a mailbox just claimed from a ready
+  /// entry: drains the inbox and makes `op` worker `w`'s current operator
+  /// with a fresh quantum (counting a swap). Returns false, with the mailbox
+  /// purged or released, when it is retiring or holds no work.
+  bool BeginActivation(OperatorId op, Mailbox& mb, WorkerId w, SimTime now);
 
   /// The claim-and-drain core: pops up to `max` messages from a mailbox the
   /// caller has claimed (and already DrainInbox-ed) into `out`, batching the

@@ -159,6 +159,8 @@ SchedulerStats ShardRuntime::MergedSchedStats() const {
     total.continuations += s.continuations;
     total.rejected += s.rejected;
     total.purged += s.purged;
+    total.ready_inserts += s.ready_inserts;
+    total.stale_pops += s.stale_pops;
     total.shed += sh.shed.load(std::memory_order_relaxed);
   }
   return total;

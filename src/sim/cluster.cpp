@@ -401,13 +401,17 @@ void Cluster::TryDispatch(WorkerId w) {
   ws.kicked = false;
   if (ws.busy) return;
   batch_scratch_.clear();
-  exec_scratch_.clear();
   Scheduler& sched = runtime_->scheduler(runtime_->ShardOfWorker(w));
   if (sched.DequeueBatch(runtime_->LocalWorker(w), events_.now(),
                          batch_scratch_) == 0) {
     return;
   }
+  StartActivation(w);
+}
 
+void Cluster::StartActivation(WorkerId w) {
+  WorkerState& ws = workers_[static_cast<std::size_t>(w.value)];
+  exec_scratch_.clear();
   // The whole activation (claim-and-drain batch, one operator) executes as
   // one busy period: per-message costs are sampled up front in dispatch
   // order, the operator switch cost is charged once.
@@ -553,11 +557,14 @@ void Cluster::CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
 }
 
 void Cluster::FinishActivation(WorkerId w, OperatorId op) {
-  runtime_->scheduler(runtime_->ShardOfWorker(w))
-      .OnComplete(op, runtime_->LocalWorker(w), events_.now());
-  WorkerState& ws = workers_[static_cast<std::size_t>(w.value)];
-  ws.busy = false;
-  TryDispatch(w);
+  workers_[static_cast<std::size_t>(w.value)].busy = false;
+  batch_scratch_.clear();
+  Scheduler& sched = runtime_->scheduler(runtime_->ShardOfWorker(w));
+  if (sched.CompleteAndDequeue(op, runtime_->LocalWorker(w), events_.now(),
+                               batch_scratch_) == 0) {
+    return;
+  }
+  StartActivation(w);
 }
 
 void Cluster::Run(SimTime until) {

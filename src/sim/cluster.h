@@ -255,11 +255,14 @@ class Cluster {
   /// Claims an operator via the batched dispatch contract and schedules one
   /// busy period covering the whole drained batch.
   void TryDispatch(WorkerId w);
+  /// Schedules the busy period for the activation in batch_scratch_.
+  void StartActivation(WorkerId w);
   /// The per-message half of a completed activation: invoke, route outputs,
   /// ack upstream, record metrics, recycle the batch's columns.
   void CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
                        Duration cost);
-  /// The per-activation half: releases the operator claim and redispatches.
+  /// The per-activation half: ends the activation and dispatches the
+  /// worker's next one in the same event (CompleteAndDequeue).
   void FinishActivation(WorkerId w, OperatorId op);
   MessageId NextMessageId() { return MessageId{next_message_id_++}; }
 

@@ -6,7 +6,12 @@
 // -DCAMEO_SANITIZE=thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -153,6 +158,107 @@ TEST(ConcurrencyTest, DrainIsCleanWhileProducersKeepArriving) {
   EXPECT_EQ(rt.scheduler().pending(), 0u);
   auto& sink = dynamic_cast<SinkOp&>(rt.graph().Get(fj.sink));
   EXPECT_EQ(sink.tuples(), 500);
+  rt.Stop();
+}
+
+// Records the key of every row it receives. Operator exclusivity makes the
+// plain vector safe: one worker at a time, ordered by the mailbox claims.
+class KeyRecordingSink final : public Operator {
+ public:
+  KeyRecordingSink() : Operator("keys", WindowSpec::Regular(), CostModel{}) {}
+  void Invoke(const Message& m, InvokeContext& /*ctx*/) override {
+    keys_.insert(keys_.end(), m.batch.keys.begin(), m.batch.keys.end());
+  }
+  bool is_sink() const override { return true; }
+  const std::vector<std::int64_t>& keys() const { return keys_; }
+
+ private:
+  std::vector<std::int64_t> keys_;
+};
+
+// Between activations a worker keeps a continuing operator's claim
+// (Scheduler::CompleteAndDequeue), so a worker that leaves must release the
+// claim it holds; one kept past its exit strands the operator's backlog and
+// Drain() never returns. Two producers ingest 1-row batches while the pool
+// flexes 3 -> 1 -> 3: every row must be dispatched exactly once and Drain
+// must return within a watchdog timeout. Run under TSan.
+TEST(ConcurrencyTest, ShrinkingWorkersReleaseKeptClaims) {
+  constexpr int kProducers = 2;
+  constexpr std::int64_t kPerProducer = 6000;
+  constexpr int kMinFlexCycles = 6;
+
+  DataflowGraph graph;
+  JobSpec spec;
+  spec.name = "flex";
+  spec.latency_constraint = Seconds(10);
+  spec.time_domain = TimeDomain::kEventTime;
+  spec.output_window = 0;
+  spec.output_slide = 0;
+  const JobId job = graph.AddJob(spec);
+  const StageId src = graph.AddStage(job, "src", kProducers, [](int r) {
+    return std::make_unique<SourceOp>("src" + std::to_string(r), CostModel{});
+  });
+  const StageId sink = graph.AddStage(
+      job, "sink", 1, [](int) { return std::make_unique<KeyRecordingSink>(); });
+  graph.Connect(src, sink, Partition::kShard);
+  const std::vector<OperatorId> sources = graph.stage(src).operators;
+  const OperatorId sink_op = graph.stage(sink).operators[0];
+
+  RuntimeConfig cfg;
+  cfg.num_workers = 3;
+  cfg.scheduler = SchedulerKind::kCameo;
+  cfg.emulate_cost = false;
+  ThreadRuntime rt(cfg, std::move(graph));
+  rt.Start();
+
+  std::atomic<int> producers_done{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::int64_t i = 0; i < kPerProducer; ++i) {
+        EventBatch batch;
+        batch.progress = i + 1;
+        batch.Append(p * kPerProducer + i, 1.0, i + 1);
+        EXPECT_TRUE(
+            rt.IngestBatch(sources[static_cast<std::size_t>(p)],
+                           std::move(batch)));
+      }
+      producers_done.fetch_add(1);
+    });
+  }
+  for (int cycle = 0;
+       cycle < kMinFlexCycles || producers_done.load() < kProducers; ++cycle) {
+    rt.SetWorkerCount(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    rt.SetWorkerCount(3);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::thread& t : producers) t.join();
+
+  auto drained = std::async(std::launch::async, [&rt] { rt.Drain(); });
+  if (drained.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    // The runtime cannot be torn down under a blocked Drain(); report and
+    // end the process so the hang fails the test instead of the ctest
+    // timeout.
+    std::fprintf(stderr,
+                 "ShrinkingWorkersReleaseKeptClaims: Drain() did not return "
+                 "within 60 s -- a claim outlived its worker\n");
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+
+  std::vector<std::int64_t> keys =
+      dynamic_cast<KeyRecordingSink&>(rt.graph().Get(sink_op)).keys();
+  ASSERT_EQ(keys.size(), static_cast<std::size_t>(kProducers * kPerProducer));
+  std::sort(keys.begin(), keys.end());
+  for (std::int64_t id = 0; id < kProducers * kPerProducer; ++id) {
+    ASSERT_EQ(keys[static_cast<std::size_t>(id)], id)
+        << "row " << id << " lost or duplicated";
+  }
+  const SchedulerStats stats = rt.scheduler().stats();
+  EXPECT_EQ(stats.enqueued, stats.dispatched);
+  EXPECT_EQ(rt.scheduler().pending(), 0u);
   rt.Stop();
 }
 

@@ -1,5 +1,6 @@
 // Unit tests for src/sched: the four schedulers' ordering, quantum
-// preemption, operator exclusivity, and starvation control; plus the
+// preemption, operator exclusivity, and starvation control; the
+// CompleteAndDequeue equivalence and ready-structure traffic checks; and the
 // policy-comparator strict-weak-ordering property suite (every registered
 // policy, randomized contexts).
 #include <gtest/gtest.h>
@@ -435,6 +436,185 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, AnySchedulerTest,
                                return std::string("Slot");
                            }
                          });
+
+// ---------------- CompleteAndDequeue ----------------
+//
+// CompleteAndDequeue keeps a continuing operator's claim instead of
+// releasing it into the ready structure and claiming it straight back. Its
+// dispatch decisions must equal OnComplete + DequeueBatch: seeded random
+// single-threaded scripts drive two schedulers of one kind side by side,
+// `fused` ending every activation with CompleteAndDequeue and `classic` with
+// OnComplete + DequeueBatch, and compare every dispatched batch.
+
+struct EquivalenceCase {
+  SchedulerKind kind;
+  int batch_size;
+  Duration quantum;
+};
+
+std::string CaseName(const EquivalenceCase& c) {
+  return ToString(c.kind) + "_batch" + std::to_string(c.batch_size) +
+         "_quantum" + std::to_string(c.quantum / kMillisecond) + "ms";
+}
+
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << CaseName(c); }
+
+std::vector<std::int64_t> Ids(const std::vector<Message>& batch) {
+  std::vector<std::int64_t> ids;
+  for (const Message& m : batch) ids.push_back(m.id.value);
+  return ids;
+}
+
+class CompleteAndDequeueEquivalence
+    : public ::testing::TestWithParam<EquivalenceCase> {};
+
+TEST_P(CompleteAndDequeueEquivalence, DispatchesWhatOnCompleteThenDequeueDo) {
+  const EquivalenceCase c = GetParam();
+  SchedulerConfig cfg;
+  cfg.quantum = c.quantum;
+  cfg.batch_size = c.batch_size;
+  std::uint64_t continuations = 0;
+  std::uint64_t swaps = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const int workers = 2 + static_cast<int>(seed % 2);
+    std::unique_ptr<Scheduler> fused = MakeScheduler(c.kind, workers, cfg);
+    std::unique_ptr<Scheduler> classic = MakeScheduler(c.kind, workers, cfg);
+    // The activation each worker holds on each side (empty: idle).
+    std::vector<std::vector<Message>> held_f(workers);
+    std::vector<std::vector<Message>> held_c(workers);
+    SimTime now = 0;
+    std::int64_t next_id = 0;
+
+    auto step = [&](int wi) {
+      const WorkerId w{wi};
+      std::vector<Message>& f = held_f[static_cast<std::size_t>(wi)];
+      std::vector<Message>& cl = held_c[static_cast<std::size_t>(wi)];
+      if (f.empty()) {
+        fused->DequeueBatch(w, now, f);
+        classic->DequeueBatch(w, now, cl);
+      } else {
+        const OperatorId op = f.front().target;
+        f.clear();
+        cl.clear();
+        fused->CompleteAndDequeue(op, w, now, f);
+        classic->OnComplete(op, w, now);
+        classic->DequeueBatch(w, now, cl);
+      }
+      EXPECT_EQ(Ids(f), Ids(cl)) << "worker " << wi << " at " << now;
+    };
+
+    for (int i = 0; i < 800 && !HasFailure(); ++i) {
+      now += rng.UniformInt(0, Micros(400));
+      if (rng.Chance(0.45)) {
+        Message m = Msg(next_id++, rng.UniformInt(1, 5),
+                        rng.UniformInt(0, Millis(50)), rng.UniformInt(0, 100));
+        const WorkerId producer =
+            rng.Chance(0.5) ? kExternal : WorkerId{rng.UniformInt(0, workers - 1)};
+        fused->Enqueue(m, producer, now);
+        classic->Enqueue(std::move(m), producer, now);
+      } else {
+        step(static_cast<int>(rng.UniformInt(0, workers - 1)));
+      }
+    }
+    // Run every worker until both sides are drained and idle.
+    auto busy = [&] {
+      for (const auto& f : held_f) {
+        if (!f.empty()) return true;
+      }
+      return fused->pending() > 0;
+    };
+    for (int round = 0; round < 100000 && busy() && !HasFailure(); ++round) {
+      now += Micros(300);
+      step(round % workers);
+    }
+    if (HasFailure()) return;
+    EXPECT_FALSE(busy());
+    EXPECT_EQ(classic->pending(), 0u);
+    const SchedulerStats fs = fused->stats();
+    const SchedulerStats cs = classic->stats();
+    EXPECT_EQ(fs.enqueued, static_cast<std::uint64_t>(next_id));
+    EXPECT_EQ(fs.dispatched, cs.dispatched);
+    EXPECT_EQ(fs.dispatched, fs.enqueued);
+    EXPECT_EQ(fs.continuations, cs.continuations);
+    EXPECT_EQ(fs.operator_swaps, cs.operator_swaps);
+    EXPECT_LE(fs.ready_inserts, cs.ready_inserts);
+    continuations += fs.continuations;
+    swaps += fs.operator_swaps;
+  }
+  // The scripts exercise both sides of the continuation decision (Orleans
+  // with a zero quantum always yields to the global queue).
+  if (c.kind != SchedulerKind::kOrleans || c.quantum > 0) {
+    EXPECT_GT(continuations, 0u);
+  }
+  EXPECT_GT(swaps, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchedulers, CompleteAndDequeueEquivalence,
+    ::testing::ValuesIn([] {
+      std::vector<EquivalenceCase> cases;
+      for (SchedulerKind kind :
+           {SchedulerKind::kCameo, SchedulerKind::kFifo,
+            SchedulerKind::kOrleans, SchedulerKind::kSlot}) {
+        for (int batch : {1, 4}) {
+          for (Duration quantum : {Duration{0}, Millis(1)}) {
+            cases.push_back({kind, batch, quantum});
+          }
+        }
+      }
+      return cases;
+    }()),
+    [](const ::testing::TestParamInfo<EquivalenceCase>& info) {
+      return CaseName(info.param);
+    });
+
+TEST(ReadyTrafficTest, ContinuingOperatorSkipsTheReadyStructure) {
+  // One worker continues one operator for kN messages inside one quantum.
+  // Ending each activation with OnComplete + DequeueBatch re-queues the
+  // operator every time (kN - 1 inserts) and the continuation claim strands
+  // each entry, which the final pop then discards (kN - 1 stale pops);
+  // CompleteAndDequeue keeps the claim and touches the ready structure
+  // neither way.
+  constexpr int kN = 16;
+  SchedulerConfig cfg;
+  cfg.quantum = Millis(1);
+  for (SchedulerKind kind :
+       {SchedulerKind::kCameo, SchedulerKind::kFifo, SchedulerKind::kOrleans,
+        SchedulerKind::kSlot}) {
+    for (bool fused : {true, false}) {
+      SCOPED_TRACE(ToString(kind) + (fused ? " fused" : " classic"));
+      std::unique_ptr<Scheduler> s = MakeScheduler(kind, 2, cfg);
+      // Equal priorities: later arrivals never re-register the operator.
+      for (int i = 0; i < kN; ++i) {
+        s->Enqueue(Msg(i, /*op=*/1, Millis(10)), kExternal, 0);
+      }
+      std::vector<Message> batch;
+      ASSERT_EQ(s->DequeueBatch(kW0, 0, batch), 1u);
+      const SchedulerStats at_claim = s->stats();
+      EXPECT_EQ(at_claim.ready_inserts, 1u);
+      for (int i = 1; i <= kN; ++i) {
+        const SimTime now = Micros(10 * i);
+        batch.clear();
+        std::size_t n = 0;
+        if (fused) {
+          n = s->CompleteAndDequeue(OperatorId{1}, kW0, now, batch);
+        } else {
+          s->OnComplete(OperatorId{1}, kW0, now);
+          n = s->DequeueBatch(kW0, now, batch);
+        }
+        ASSERT_EQ(n, i < kN ? 1u : 0u) << "completion " << i;
+      }
+      const SchedulerStats end = s->stats();
+      const std::uint64_t expected = fused ? 0 : kN - 1;
+      EXPECT_EQ(end.ready_inserts - at_claim.ready_inserts, expected);
+      EXPECT_EQ(end.stale_pops, expected);
+      EXPECT_EQ(end.dispatched, static_cast<std::uint64_t>(kN));
+      EXPECT_EQ(end.continuations, static_cast<std::uint64_t>(kN - 1));
+    }
+  }
+}
 
 // ---------------- Policy-comparator ordering properties ----------------
 //
