@@ -1,44 +1,12 @@
-// Engine facade for multi-shard simulated runs.
-//
-// A ShardEngine *is* a SimEngine whose cluster spreads operators across
-// `options.shards` simulated machines (src/shard/): same Submit/RunFor/
-// Summarize lifecycle, same bit-reproducible virtual time, plus the
-// shard-level read side -- per-shard scheduler stats, operator placement,
-// transport and wire-codec counters -- that the fig08 scale-out panel and
-// the scale-out examples report. Everything here is a read view; all
-// execution behavior lives in sim::Cluster + shard::ShardRuntime.
-//
-// With options.shards == 1 it behaves exactly like SimEngine (and the
-// backend() string still says "shard", which is the only observable
-// difference).
+// Former name of the multi-shard engine, kept because the end-to-end
+// benchmark (e2ebench/) includes it: a SimEngine runs any number of shards
+// (EngineOptions::shards).
 #pragma once
 
 #include "api/sim_engine.h"
-#include "shard/shard_runtime.h"
 
 namespace cameo {
 
-class ShardEngine final : public SimEngine {
- public:
-  explicit ShardEngine(EngineOptions options) : SimEngine(std::move(options)) {}
-
-  std::string backend() const override { return "shard"; }
-
-  int num_shards() const { return options().shards; }
-
-  /// Owning shard of `op` (consistent-hash placement; pure function of the
-  /// engine seed and shard count). Materializes if needed.
-  int ShardOf(OperatorId op);
-
-  /// One shard's scheduler stats (un-merged; sched_stats() is the merged
-  /// view inherited from SimEngine).
-  SchedulerStats shard_stats(int shard);
-
-  /// Thread-safe mid-run snapshot of policy counters merged across shards.
-  std::vector<PolicyCounter> policy_counters();
-
-  shard::TransportStats transport_stats();
-  shard::WireStats wire_stats();
-};
+using ShardEngine = SimEngine;
 
 }  // namespace cameo

@@ -174,4 +174,8 @@ Cluster& SimEngine::cluster() {
   return *cluster_;
 }
 
+shard::TransportStats SimEngine::transport_stats() {
+  return cluster().shard_runtime().transport_stats();
+}
+
 }  // namespace cameo

@@ -12,6 +12,11 @@
 // virtual time `at` and (when until > at) leave at `until`; the definition
 // compiles at its arrival time via the shared QueryBuilder callback. The
 // handle's job id resolves once the run has passed `at` (ScheduledJob).
+//
+// With EngineOptions::shards > 1 the cluster spreads operators across
+// simulated machines (src/shard/). The shard read side -- placement,
+// per-shard scheduler stats, policy counters, wire counters -- is reached
+// through cluster(); transport_stats() is the one shortcut.
 #pragma once
 
 #include <memory>
@@ -24,7 +29,7 @@
 
 namespace cameo {
 
-class SimEngine : public Engine {  // base of ShardEngine (api/shard_engine.h)
+class SimEngine final : public Engine {
  public:
   explicit SimEngine(EngineOptions options);
 
@@ -65,8 +70,12 @@ class SimEngine : public Engine {  // base of ShardEngine (api/shard_engine.h)
   bool materialized() const { return cluster_ != nullptr; }
 
   /// Backend escape hatch for sim-only instruments (timeline, utilization,
-  /// purge accounting, At() scripting). Materializes if needed.
+  /// purge accounting, At() scripting, shard placement and per-shard
+  /// stats). Materializes if needed.
   Cluster& cluster();
+
+  /// Cross-shard transport counters (zero traffic at shards == 1).
+  shard::TransportStats transport_stats();
 
   SimTime now() const { return horizon_; }
 

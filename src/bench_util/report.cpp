@@ -46,15 +46,6 @@ std::string FormatPct(double fraction) {
   return buf;
 }
 
-void PrintJobTable(const RunResult& result) {
-  PrintHeaderRow("job", {"outputs", "median", "p95", "p99", "max", "success"});
-  for (const JobResult& j : result.jobs) {
-    PrintRow(j.name, {std::to_string(j.outputs), FormatMs(j.median_ms),
-                      FormatMs(j.p95_ms), FormatMs(j.p99_ms),
-                      FormatMs(j.max_ms), FormatPct(j.success_rate)});
-  }
-}
-
 void PrintCdf(const SampleStats& stats, const std::string& label,
               std::size_t points) {
   std::printf("CDF %s (latency_ms percentile):\n", label.c_str());

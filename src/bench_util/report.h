@@ -23,9 +23,6 @@ void PrintHeaderRow(const std::string& label,
 std::string FormatMs(double ms);
 std::string FormatPct(double fraction);
 
-/// Prints per-job latency rows of a run (median/p95/p99/max/success).
-void PrintJobTable(const RunResult& result);
-
 /// Prints a CDF as "value_ms percentile" lines, `points` rows.
 void PrintCdf(const SampleStats& stats, const std::string& label,
               std::size_t points = 10);

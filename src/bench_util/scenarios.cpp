@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "api/shard_engine.h"
 #include "api/sim_engine.h"
 #include "common/check.h"
 #include "state/keyed_counter.h"
@@ -274,9 +273,7 @@ KeyedScenarioResult RunKeyedScenario(const KeyedScenarioOptions& opt) {
   eo.sim.shard_session = opt.session;
   eo.sim.shard_faults = opt.faults;
   eo.sim.admission_limit = opt.admission_limit;
-  // ShardEngine is a SimEngine; at shards == 1 the construction path is
-  // identical, which keeps the keyed replay goldens bit-stable.
-  ShardEngine engine(eo);
+  SimEngine engine(eo);
 
   KeySamplerFactory sampler;
   switch (opt.dist) {
@@ -339,8 +336,9 @@ KeyedScenarioResult RunKeyedScenario(const KeyedScenarioOptions& opt) {
   out.wire_bytes = static_cast<std::int64_t>(ts.bytes_sent);
   out.transport = ts;
   out.shed_messages = static_cast<std::int64_t>(ts.shed_messages);
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    out.shard_sched.push_back(engine.shard_stats(s));
+  for (int s = 0; s < eo.shards; ++s) {
+    out.shard_sched.push_back(
+        engine.cluster().shard_runtime().scheduler(s).stats());
   }
   DataflowGraph& g = engine.graph();
   for (StageId sid : q.handles.stages) {

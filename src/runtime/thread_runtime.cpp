@@ -3,24 +3,11 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "core/activation.h"
 
 namespace cameo {
 
 namespace {
-
-class CollectingEmitter final : public Emitter {
- public:
-  explicit CollectingEmitter(
-      std::vector<std::tuple<int, EventBatch, SimTime>>& outs)
-      : outs_(outs) {}
-
-  void Emit(int port, EventBatch batch, SimTime event_time) override {
-    outs_.emplace_back(port, std::move(batch), event_time);
-  }
-
- private:
-  std::vector<std::tuple<int, EventBatch, SimTime>>& outs_;
-};
 
 void SpinFor(Duration d) {
   auto deadline =
@@ -262,37 +249,44 @@ bool ThreadRuntime::IngestBatch(OperatorId source, EventBatch batch) {
   return true;
 }
 
-void ThreadRuntime::RouteOutputs(
-    const Message& m, Operator& op,
-    std::vector<std::tuple<int, EventBatch, SimTime>>& outs, WorkerId w) {
+/// The wall-clock step hooks: messages go straight into the scheduler,
+/// replies straight into the sender's converter.
+class ThreadRuntime::WorkerHooks final : public StepHooks {
+ public:
+  WorkerHooks(ThreadRuntime& rt, int index, JobState& js)
+      : rt_(rt), index_(index), js_(js) {}
+
+  void Send(Message m) override {
+    rt_.EnqueueTracked(std::move(m), WorkerId{index_}, js_);
+  }
+
+  void Reply(OperatorId sender, OperatorId from,
+             const ReplyContext& rc) override {
+    rt_.converter(sender).ProcessCtxFromReply(from, rc);
+  }
+
+  void RecordSink(JobId job, SimTime t, std::int64_t tuples,
+                  SimTime now) override {
+    rt_.latency_.OnSinkOutput(index_, job, t, now);
+    rt_.latency_.OnSinkTuples(index_, job, tuples, now);
+  }
+
+ private:
+  ThreadRuntime& rt_;
+  int index_;
   // Edges never cross jobs (Connect checks), so every downstream message
   // belongs to the sender's job state.
-  JobState* js = job_states_.Find(op.job());
-  CAMEO_EXPECTS(js != nullptr);
-  for (auto& [port, batch, event_time] : outs) {
-    for (auto& d : graph_.Route(m.target, port, std::move(batch))) {
-      Message md;
-      md.pc = converter(m.target).BuildCxtAtOperator(
-          m.pc, op, graph_.Get(d.target), d.batch.progress, event_time,
-          MessageId{next_message_id_.fetch_add(1, std::memory_order_relaxed)});
-      md.id = md.pc.id;
-      md.target = d.target;
-      md.sender = m.target;
-      md.event_time = event_time;
-      md.batch = std::move(d.batch);
-      EnqueueTracked(std::move(md), w, *js);
-    }
-  }
-}
+  JobState& js_;
+};
 
 void ThreadRuntime::WorkerLoop(int index) {
   WorkerId w{index};
   Rng rng(config_.seed + static_cast<std::uint64_t>(index) * 7919);
-  std::vector<std::tuple<int, EventBatch, SimTime>> outs;
+  CollectingEmitter emitter;
   // The activation this worker holds (claim-and-drain contract): all
   // messages target one operator, claimed until the CompleteAndDequeue or
-  // OnComplete below. Empty while the worker holds nothing. Both scratch
-  // vectors retain capacity, keeping the loop allocation-free.
+  // OnComplete below. Empty while the worker holds nothing. The batch and
+  // the emitter retain capacity, keeping the loop allocation-free.
   std::vector<Message> batch;
   auto leaving = [this, index] {
     return stop_.load(std::memory_order_seq_cst) ||
@@ -321,41 +315,21 @@ void ThreadRuntime::WorkerLoop(int index) {
     // activation.
     const OperatorId target = batch.front().target;
     Operator& op = graph_.Get(target);
+    JobState* js = job_states_.Find(op.job());
+    CAMEO_EXPECTS(js != nullptr);
+    WorkerHooks hooks(*this, index, *js);
+    const Activation a{graph_,           profiler_, *policy_,
+                       converter(target), op,        next_message_id_,
+                       emitter,           rng,       hooks};
     for (Message& msg : batch) {
-      outs.clear();
-      CollectingEmitter emitter(outs);
-      SimTime exec_start = Now();
-      InvokeContext ctx{exec_start, &emitter, &rng};
-      op.Invoke(msg, ctx);
+      // The profiled cost is measured: emulated compute plus the invocation.
+      const SimTime start = Now();
       if (config_.emulate_cost) {
         SpinFor(op.cost_model().Sample(msg.batch.size(), rng));
       }
-      SimTime exec_end = Now();
-
-      profiler_.Record(target, exec_end - exec_start);
-      policy_->OnInvoked(target, op.job(), exec_end - exec_start, exec_end);
-      RouteOutputs(msg, op, outs, w);
-      if (msg.sender.valid()) {
-        ReplyContext rc =
-            converter(target).PrepareReply(profiler_.Estimate(target),
-                                           exec_start - msg.enqueue_time,
-                                           op.is_sink());
-        converter(msg.sender).ProcessCtxFromReply(target, rc);
-      }
-      if (op.is_sink()) {
-        const JobSpec& spec = graph_.job(op.job());
-        if (spec.output_slide > 0) {
-          latency_.OnSinkOutput(index, op.job(), msg.progress(), exec_end);
-        } else {
-          latency_.OnSinkOutput(index, op.job(), msg.event_time, exec_end);
-        }
-        latency_.OnSinkTuples(index, op.job(), msg.batch.size(), exec_end);
-      }
-      // Last reader of this message's columns: park them for reuse.
-      msg.batch.Recycle();
+      ExecuteStep(a, msg,
+                  {.dispatched = start, .start = start, .wall_epoch = &start_});
     }
-    JobState* js = job_states_.Find(op.job());
-    CAMEO_EXPECTS(js != nullptr);
     const std::size_t done = batch.size();
     batch.clear();
     // A continuing operator keeps its claim across CompleteAndDequeue, so a

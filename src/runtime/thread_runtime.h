@@ -142,10 +142,8 @@ class ThreadRuntime {
     std::atomic<bool> live{true};
   };
 
+  class WorkerHooks;
   void WorkerLoop(int index);
-  void RouteOutputs(const Message& m, Operator& op,
-                    std::vector<std::tuple<int, EventBatch, SimTime>>& outs,
-                    WorkerId w);
   ContextConverter& converter(OperatorId op);
   /// Registers all runtime tables for `job` (converters, profiler seeds,
   /// source states, latency, job state). Caller holds control_mu_.

@@ -242,10 +242,10 @@ bool ReleaseMailbox(Mailbox& mb, PrepareFn&& prepare,
 
 /// Read-mostly OperatorId -> Mailbox map on the copy-on-write index. Lookups
 /// are lock-free against an immutable published snapshot; inserts (first
-/// message of a new operator, or a Reserve() batch) copy-and-publish under a
-/// mutex. Mailboxes are never destroyed or unmapped -- a retired operator's
-/// mailbox stays in the table parked at kRetired, so a stale id can never be
-/// resurrected with a fresh mailbox by a late Enqueue.
+/// message of a new operator) copy-and-publish under a mutex. Mailboxes are
+/// never destroyed or unmapped -- a retired operator's mailbox stays in the
+/// table parked at kRetired, so a stale id can never be resurrected with a
+/// fresh mailbox by a late Enqueue.
 class MailboxTable {
  public:
   explicit MailboxTable(MailboxOrder order) : order_(order) {}
@@ -260,13 +260,6 @@ class MailboxTable {
   Mailbox& Get(OperatorId op) {
     return index_.GetOrCreate(
         op, [this] { return std::make_unique<Mailbox>(order_); });
-  }
-
-  /// Pre-creates mailboxes for a known operator set in one snapshot rebuild
-  /// (the runtime calls this with the whole graph before Start()).
-  void Reserve(const std::vector<OperatorId>& ops) {
-    index_.InsertAll(
-        ops, [this](OperatorId) { return std::make_unique<Mailbox>(order_); });
   }
 
  private:

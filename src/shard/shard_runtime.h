@@ -102,12 +102,6 @@ class ShardRuntime {
     return WorkerId{global.value % opts_.workers_per_shard};
   }
 
-  WorkerId GlobalWorker(int shard, WorkerId local) const {
-    return WorkerId{static_cast<std::int64_t>(shard) *
-                        opts_.workers_per_shard +
-                    local.value};
-  }
-
   // ---- per-shard instances ----
 
   Scheduler& scheduler(int shard) { return *shards_[Idx(shard)].scheduler; }

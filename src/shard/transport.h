@@ -23,9 +23,9 @@
 //  - InprocTransport (inproc_transport.h): lock-free in-memory channels with
 //    a seeded delay distribution -- the sim's deterministic stand-in for a
 //    network.
-//  - SocketTransport (socket_transport.h): length-prefixed frames over
-//    Unix-domain or TCP-loopback sockets -- real kernel buffering, used by
-//    the CI smoke test and the eventual multi-process runtime.
+//  - FaultInjectingTransport (fault_transport.h): a decorator that enacts a
+//    seeded fault plan (drop, duplicate, corrupt, delay, reorder, partition,
+//    stall) on the send path of the transport it wraps.
 #pragma once
 
 #include <cstdint>

@@ -9,30 +9,6 @@
 
 namespace cameo {
 
-namespace {
-
-/// Buffers the batches one invocation emits so the cluster can route them
-/// after the invocation returns.
-class CollectingEmitter final : public Emitter {
- public:
-  struct Out {
-    int port;
-    EventBatch batch;
-    SimTime event_time;
-  };
-
-  void Emit(int port, EventBatch batch, SimTime event_time) override {
-    outs_.push_back({port, std::move(batch), event_time});
-  }
-
-  std::vector<Out>& outs() { return outs_; }
-
- private:
-  std::vector<Out> outs_;
-};
-
-}  // namespace
-
 Cluster::Cluster(ClusterConfig config, DataflowGraph graph)
     : config_(config),
       graph_(std::move(graph)),
@@ -63,33 +39,7 @@ Cluster::Cluster(ClusterConfig config, DataflowGraph graph)
   // shared map is semantically per-shard state.
   runtime_->BindCostReader(&profiler_);
   timeline_.SetEnabled(config_.enable_timeline);
-  SetupConverters();
-  for (JobId job : graph_.job_ids()) {
-    const JobSpec& spec = graph_.job(job);
-    latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
-                         spec.output_slide);
-  }
-  if (config_.seed_static_estimates) SeedEstimates();
-}
-
-void Cluster::SetupConverters() {
-  for (JobId job : graph_.job_ids()) {
-    const JobSpec& spec = graph_.job(job);
-    ConverterOptions options;
-    options.use_query_semantics = config_.use_query_semantics;
-    options.time_domain = spec.time_domain;
-    for (OperatorId op : graph_.OperatorsOf(job)) {
-      // Bound to the *owning shard's* policy instance: an operator's send
-      // path consults only its own machine's policy state (paper §5.3 --
-      // contexts are built at the sender, no global scheduler state).
-      converters_.emplace(op, std::make_unique<ContextConverter>(
-                                  runtime_->policy_of(op), options));
-    }
-  }
-}
-
-void Cluster::SeedEstimates() {
-  for (JobId job : graph_.job_ids()) SeedEstimatesFor(job);
+  for (JobId job : graph_.job_ids()) RegisterJob(job);
 }
 
 void Cluster::SeedEstimatesFor(JobId job) {
@@ -112,12 +62,15 @@ void Cluster::SeedEstimatesFor(JobId job) {
   }
 }
 
-void Cluster::RegisterLateJob(JobId job) {
+void Cluster::RegisterJob(JobId job) {
   const JobSpec& spec = graph_.job(job);
   ConverterOptions options;
   options.use_query_semantics = config_.use_query_semantics;
   options.time_domain = spec.time_domain;
   for (OperatorId op : graph_.OperatorsOf(job)) {
+    // Bound to the *owning shard's* policy instance: an operator's send
+    // path consults only its own machine's policy state (paper §5.3 --
+    // contexts are built at the sender, no global scheduler state).
     converters_.emplace(op, std::make_unique<ContextConverter>(
                                 runtime_->policy_of(op), options));
   }
@@ -178,7 +131,7 @@ int Cluster::ScheduleQuery(SimTime at, SimTime until, QueryBuilder builder,
     std::size_t first_source = sources_.size();
     JobHandles h = q.build(graph_);
     q.job = h.job;
-    RegisterLateJob(h.job);
+    RegisterJob(h.job);
     AddIngestion(h.source, q.ingestion, q.event_time_delay);
     if (h.source_right.valid()) {
       AddIngestion(h.source_right, q.ingestion, q.event_time_delay);
@@ -292,8 +245,9 @@ void Cluster::PumpSource(std::size_t idx) {
     }
 
     Message m;
-    m.pc = converter(src.op).BuildCxtAtSource(e, op, spec.latency_constraint,
-                                              NextMessageId());
+    m.pc = converter(src.op).BuildCxtAtSource(
+        e, op, spec.latency_constraint,
+        MessageId{next_message_id_.fetch_add(1, std::memory_order_relaxed)});
     m.id = m.pc.id;
     m.target = src.op;
     if (src.sampler) {
@@ -443,7 +397,8 @@ void Cluster::StartActivation(WorkerId w) {
     auto done = [this, w, m = std::move(batch_scratch_.front()),
                  dispatch_time, exec = exec_scratch_.front()]() mutable {
       const OperatorId t = m.target;
-      CompleteMessage(w, std::move(m), dispatch_time, exec);
+      Execute(w, dispatch_time, std::span<Message>(&m, 1),
+              std::span<const Duration>(&exec, 1));
       FinishActivation(w, t);
     };
     static_assert(sizeof(done) <= EventQueue::kActionCapacity,
@@ -463,10 +418,7 @@ void Cluster::StartActivation(WorkerId w) {
   events_.Schedule(events_.now() + total,
                    [this, w, b = std::move(b), dispatch_time]() mutable {
                      const OperatorId t = b.msgs.front().target;
-                     for (std::size_t i = 0; i < b.msgs.size(); ++i) {
-                       CompleteMessage(w, std::move(b.msgs[i]), dispatch_time,
-                                       b.execs[i]);
-                     }
+                     Execute(w, dispatch_time, b.msgs, b.execs);
                      b.msgs.clear();
                      b.execs.clear();
                      RecycleStash<DispatchBatch>::Global().Put(std::move(b));
@@ -474,86 +426,84 @@ void Cluster::StartActivation(WorkerId w) {
                    });
 }
 
-void Cluster::CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
-                              Duration exec_cost) {
-  Operator& op = graph_.Get(m.target);
-  profiler_.Record(m.target, exec_cost);
-  runtime_->policy_of(m.target)->OnInvoked(m.target, op.job(), exec_cost,
-                                           events_.now());
-  if (op.is_source()) {
-    latency_.OnProcessed(op.job(), m.batch.size(), events_.now());
-  }
+/// The simulator's step hooks: intra-shard hops become network-delay
+/// events, cross-shard hops go through the wire codec and the transport.
+class Cluster::SimHooks final : public StepHooks {
+ public:
+  SimHooks(Cluster& c, WorkerId w, int shard) : c_(c), w_(w), shard_(shard) {}
 
-  CollectingEmitter emitter;
-  InvokeContext ctx{events_.now(), &emitter, &rng_};
-  op.Invoke(m, ctx);
-
-  const int src_shard = runtime_->ShardOf(m.target);
-  for (auto& out : emitter.outs()) {
-    for (auto& d : graph_.Route(m.target, out.port, std::move(out.batch))) {
-      Message md;
-      md.pc = converter(m.target).BuildCxtAtOperator(
-          m.pc, op, graph_.Get(d.target), d.batch.progress, out.event_time,
-          NextMessageId());
-      md.id = md.pc.id;
-      md.target = d.target;
-      md.sender = m.target;
-      md.event_time = out.event_time;
-      md.batch = std::move(d.batch);
-      const int dst_shard = runtime_->ShardOf(d.target);
-      if (dst_shard == src_shard) {
-        // Intra-shard hop: same path (and same virtual-time schedule) as the
-        // pre-shard cluster.
-        auto deliver = [this, md = std::move(md), w]() mutable {
-          Deliver(std::move(md), w);
-        };
-        static_assert(sizeof(deliver) <= EventQueue::kActionCapacity,
-                      "delivery closure outgrew the inline event buffer; the "
-                      "common sim path would heap-allocate every delivery");
-        events_.Schedule(events_.now() + config_.network_delay,
-                         std::move(deliver));
-      } else {
-        // Cross-shard hop: serialize through the wire codec and ship on the
-        // transport; the receive event fires at the modeled delivery time.
-        const SimTime at =
-            runtime_->SendMessage(src_shard, dst_shard, events_.now(), md);
-        md.batch.Recycle();  // columns are on the wire now; park the buffers
-        events_.Schedule(
-            at, [this, dst_shard] { ReceiveShardFrame(dst_shard); });
-      }
+  void Send(Message md) override {
+    const int dst_shard = c_.runtime_->ShardOf(md.target);
+    if (dst_shard == shard_) {
+      // Intra-shard hop: same path (and same virtual-time schedule) as the
+      // pre-shard cluster.
+      auto deliver = [&c = c_, md = std::move(md), w = w_]() mutable {
+        c.Deliver(std::move(md), w);
+      };
+      static_assert(sizeof(deliver) <= EventQueue::kActionCapacity,
+                    "delivery closure outgrew the inline event buffer; the "
+                    "common sim path would heap-allocate every delivery");
+      c_.events_.Schedule(c_.events_.now() + c_.config_.network_delay,
+                          std::move(deliver));
+      return;
     }
+    // Cross-shard hop: serialize through the wire codec and ship on the
+    // transport; the receive event fires at the modeled delivery time.
+    const SimTime at =
+        c_.runtime_->SendMessage(shard_, dst_shard, c_.events_.now(), md);
+    md.batch.Recycle();  // columns are on the wire now; park the buffers
+    c_.events_.Schedule(at,
+                        [&c = c_, dst_shard] { c.ReceiveShardFrame(dst_shard); });
   }
 
-  // Acknowledge upstream with a Reply Context (paper Fig. 5(a), steps 5-6).
-  if (m.sender.valid()) {
-    ReplyContext rc = converter(m.target).PrepareReply(
-        profiler_.Estimate(m.target), dispatch_time - m.enqueue_time,
-        op.is_sink());
-    const int sender_shard = runtime_->ShardOf(m.sender);
-    if (sender_shard == src_shard) {
-      events_.Schedule(events_.now() + config_.network_delay,
-                       [this, sender = m.sender, from = m.target, rc] {
-                         converter(sender).ProcessCtxFromReply(from, rc);
-                       });
-    } else {
-      const SimTime at = runtime_->SendReply(
-          src_shard, sender_shard, events_.now(), m.sender, m.target, rc);
-      events_.Schedule(
-          at, [this, sender_shard] { ReceiveShardFrame(sender_shard); });
+  void Reply(OperatorId sender, OperatorId from,
+             const ReplyContext& rc) override {
+    const int sender_shard = c_.runtime_->ShardOf(sender);
+    if (sender_shard == shard_) {
+      c_.events_.Schedule(c_.events_.now() + c_.config_.network_delay,
+                          [&c = c_, sender, from, rc] {
+                            c.converter(sender).ProcessCtxFromReply(from, rc);
+                          });
+      return;
     }
+    const SimTime at = c_.runtime_->SendReply(shard_, sender_shard,
+                                              c_.events_.now(), sender, from,
+                                              rc);
+    c_.events_.Schedule(
+        at, [&c = c_, sender_shard] { c.ReceiveShardFrame(sender_shard); });
   }
 
-  if (op.is_sink()) {
-    const JobSpec& spec = graph_.job(op.job());
-    if (spec.output_slide > 0) {
-      latency_.OnSinkOutput(op.job(), m.progress(), events_.now());
-    } else {
-      latency_.OnSinkOutput(op.job(), m.event_time, events_.now());
-    }
-    latency_.OnSinkTuples(op.job(), m.batch.size(), events_.now());
+  void RecordSink(JobId job, SimTime t, std::int64_t tuples,
+                  SimTime now) override {
+    c_.latency_.OnSinkOutput(job, t, now);
+    c_.latency_.OnSinkTuples(job, tuples, now);
   }
-  // Last reader of this message's columns: park them for reuse.
-  m.batch.Recycle();
+
+ private:
+  Cluster& c_;
+  WorkerId w_;
+  int shard_;  // the activation's shard
+};
+
+void Cluster::Execute(WorkerId w, SimTime dispatch_time,
+                      std::span<Message> msgs,
+                      std::span<const Duration> costs) {
+  const OperatorId target = msgs.front().target;
+  Operator& op = graph_.Get(target);
+  SimHooks hooks(*this, w, runtime_->ShardOf(target));
+  const Activation a{graph_,           profiler_, *runtime_->policy_of(target),
+                     converter(target), op,        next_message_id_,
+                     emitter_,          rng_,      hooks};
+  // The busy period already elapsed: every step runs at the completion time
+  // and is charged its sampled cost.
+  const SimTime now = events_.now();
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    if (op.is_source()) {
+      latency_.OnProcessed(op.job(), msgs[i].batch.size(), now);
+    }
+    ExecuteStep(a, msgs[i],
+                {.dispatched = dispatch_time, .start = now, .charged = costs[i]});
+  }
 }
 
 void Cluster::FinishActivation(WorkerId w, OperatorId op) {

@@ -23,14 +23,17 @@
 // shares of the surviving tenants are rebalanced (§5.4 under churn).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/activation.h"
 #include "core/context_converter.h"
 #include "core/profiler.h"
 #include "core/token_bucket.h"
@@ -230,10 +233,9 @@ class Cluster {
     std::vector<Duration> execs;
   };
 
-  void SetupConverters();
-  void SeedEstimates();
-  /// Registers converters/latency/static seeds for a job added mid-run.
-  void RegisterLateJob(JobId job);
+  /// Registers a job's converters, latency accounting and static seeds (at
+  /// construction, and for a job added mid-run).
+  void RegisterJob(JobId job);
   void SeedEstimatesFor(JobId job);
   /// Re-splits config_.token_total_rate across live token-enabled jobs.
   void RebalanceTokens();
@@ -257,14 +259,14 @@ class Cluster {
   void TryDispatch(WorkerId w);
   /// Schedules the busy period for the activation in batch_scratch_.
   void StartActivation(WorkerId w);
-  /// The per-message half of a completed activation: invoke, route outputs,
-  /// ack upstream, record metrics, recycle the batch's columns.
-  void CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
-                       Duration cost);
+  class SimHooks;
+  /// The per-message half of a completed activation: runs each message
+  /// (with its sampled cost) through the shared step (core/activation.h).
+  void Execute(WorkerId w, SimTime dispatch_time, std::span<Message> msgs,
+               std::span<const Duration> costs);
   /// The per-activation half: ends the activation and dispatches the
   /// worker's next one in the same event (CompleteAndDequeue).
   void FinishActivation(WorkerId w, OperatorId op);
-  MessageId NextMessageId() { return MessageId{next_message_id_++}; }
 
   ClusterConfig config_;
   DataflowGraph graph_;
@@ -287,7 +289,9 @@ class Cluster {
   /// tail, so continuing a run never double-pumps a source.
   std::size_t pumped_sources_ = 0;
   std::vector<std::unique_ptr<ScheduledQuery>> scheduled_;
-  std::int64_t next_message_id_ = 0;
+  /// Atomic only because the shared step takes the wall-clock runtime's
+  /// counter type; the simulator is single-threaded.
+  std::atomic<std::int64_t> next_message_id_{0};
   std::uint64_t messages_delivered_ = 0;
   /// True when the session layer is live (chaos or explicit session config):
   /// receive events become tolerant drain-alls and the session pump runs.
@@ -300,6 +304,7 @@ class Cluster {
   // their capacity is reused by every dispatch.
   std::vector<Message> batch_scratch_;
   std::vector<Duration> exec_scratch_;
+  CollectingEmitter emitter_;  // the step's emit buffer, reused step to step
 };
 
 }  // namespace cameo

@@ -2,17 +2,7 @@
 
 #include <algorithm>
 
-#include "common/check.h"
-
 namespace cameo {
-
-const JobResult& RunResult::ByName(const std::string& name) const {
-  for (const JobResult& j : jobs) {
-    if (j.name == name) return j;
-  }
-  CAMEO_CHECK(false && "job not found");
-  return jobs.front();
-}
 
 double RunResult::GroupPercentile(const std::string& prefix, double q) const {
   SampleStats merged;

@@ -241,6 +241,100 @@ TEST(EngineParityTest, SubmitAndRemoveBehaveIdentically) {
   thread.Stop();
 }
 
+// ---------------- differential: same sink outputs on both backends ----------------
+
+/// One query per windowed operator shape, all event-time so window
+/// membership depends only on logical time, never on the clock that runs it.
+std::vector<QueryDef> DifferentialShapes() {
+  const CostModel cost{Micros(100), 0, 0.0};
+  const WindowSpec tumbling = WindowSpec::Tumbling(Millis(200));
+  const WindowSpec sliding = WindowSpec::Sliding(Millis(400), Millis(200));
+  std::vector<QueryDef> shapes;
+  shapes.push_back(Query("tumbling")
+                       .Source(2, cost)
+                       .Shuffle()
+                       .WindowAgg(2, tumbling, cost)
+                       .Shuffle()
+                       .WindowAgg(1, tumbling, cost, AggKind::kSum, false,
+                                  "final")
+                       .OneToOne()
+                       .Sink(cost));
+  shapes.push_back(Query("sliding")
+                       .Source(2, cost)
+                       .Shuffle()
+                       .WindowAgg(2, sliding, cost, AggKind::kCount)
+                       .Shuffle()
+                       .WindowAgg(1, sliding, cost, AggKind::kSum, false,
+                                  "final")
+                       .OneToOne()
+                       .Sink(cost));
+  // Sources send every 100 ms of logical time; a 30 ms gap closes one
+  // session per send once both channels have moved past it.
+  shapes.push_back(Query("session")
+                       .Source(2, cost)
+                       .Shuffle()
+                       .SessionAgg(1, Millis(30), cost)
+                       .OneToOne()
+                       .Sink(cost));
+  shapes.push_back(Query("topk_pct")
+                       .Source(2, cost)
+                       .Shuffle()
+                       .TopK(2, tumbling, cost, /*k=*/3)
+                       .Shuffle()
+                       .Percentile(1, tumbling, cost, /*q=*/99.0)
+                       .OneToOne()
+                       .Sink(cost));
+  shapes.push_back(Query("join")
+                       .Source(2, cost, "srcL")
+                       .RightSource(2, cost, "srcR")
+                       .Shuffle()
+                       .WindowedJoin(2, Millis(200), cost)
+                       .Shuffle()
+                       .WindowAgg(1, tumbling, cost, AggKind::kSum, false,
+                                  "final")
+                       .OneToOne()
+                       .Sink(cost));
+  IngestSpec ingest;  // aligned constant batches: explicit logical times
+  ingest.msgs_per_sec = 10;
+  ingest.tuples_per_msg = 50;
+  ingest.end = Seconds(2);
+  for (QueryDef& def : shapes) def.EventTime().Constraint(Seconds(10)).Ingest(ingest);
+  return shapes;
+}
+
+TEST(EngineParityTest, SameSinkOutputsOnBothBackends) {
+  EngineOptions opt;
+  opt.workers = 2;
+  opt.seed = 17;
+  opt.wallclock.emulate_cost = false;
+  opt.wallclock.time_scale = 0.05;
+
+  SimEngine sim(opt);
+  ThreadEngine thread(opt);
+  std::vector<QueryHandle> sim_q;
+  std::vector<QueryHandle> thread_q;
+  for (const QueryDef& def : DifferentialShapes()) {
+    sim_q.push_back(sim.Submit(def));
+    thread_q.push_back(thread.Submit(def));
+  }
+  // Past the last arrival (t < 2 s) plus a grace period for the last hops.
+  sim.RunFor(Seconds(3));
+  thread.RunFor(Seconds(2));
+  thread.Drain();
+  thread.Stop();
+
+  for (std::size_t i = 0; i < sim_q.size(); ++i) {
+    SCOPED_TRACE(sim_q[i].name);
+    const JobId sj = sim_q[i].job();
+    const JobId tj = thread_q[i].job();
+    EXPECT_GT(sim.cluster().latency().outputs(sj), 0u);
+    EXPECT_EQ(sim.cluster().latency().outputs(sj),
+              thread.runtime().latency().outputs(tj));
+    EXPECT_EQ(sim.cluster().latency().sink_tuples(sj),
+              thread.runtime().latency().sink_tuples(tj));
+  }
+}
+
 TEST(SimEngineTest, LiveSubmitJoinsAtCurrentVirtualTime) {
   EngineOptions opt;
   opt.workers = 1;

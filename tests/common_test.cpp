@@ -1,5 +1,5 @@
 // Unit tests for src/common: time helpers, ids, RNG distributions,
-// percentile statistics, the updatable heap, and the CSV writer.
+// percentile statistics, and the updatable heap.
 #include <algorithm>
 #include <cmath>
 #include <random>
@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/csv.h"
 #include "common/histogram.h"
 #include "common/ids.h"
 #include "common/rng.h"

@@ -441,7 +441,11 @@ JobHandles BuildChurnQuery(DataflowGraph& g, int serial) {
     return std::make_unique<SinkOp>("csink", CostModel{});
   });
   g.Connect(src, sink, Partition::kShard);
-  return {.job = job, .source = src, .sink = sink};
+  return {.job = job,
+          .source = src,
+          .sink = sink,
+          .stages = {},
+          .source_right = {}};
 }
 
 // The churn hammer: N producer threads ingest into a static job (exact

@@ -279,7 +279,8 @@ TEST(GraphTest, AddQuerySplicesAndRemoveQueryRetires) {
     StageId s = gr.AddStage(job, "src", 2, SourceFactory());
     StageId k = gr.AddStage(job, "sink", 1, SinkFactory());
     gr.Connect(s, k, Partition::kShard);
-    return JobHandles{.job = job, .source = s, .sink = k};
+    return JobHandles{.job = job, .source = s, .sink = k, .stages = {},
+                      .source_right = {}};
   }).job;
   EXPECT_EQ(g.job_count(), 2u);
   EXPECT_EQ(g.live_job_count(), 2u);
@@ -314,7 +315,8 @@ TEST(GraphTest, ReferencesSurviveLaterMutations) {
       StageId a = gr.AddStage(t, "src", 1, SourceFactory());
       StageId b = gr.AddStage(t, "sink", 1, SinkFactory());
       gr.Connect(a, b, Partition::kOneToOne);
-      return JobHandles{.job = t, .source = a, .sink = b};
+      return JobHandles{.job = t, .source = a, .sink = b, .stages = {},
+                        .source_right = {}};
     });
   }
   EXPECT_EQ(before.parallelism, 2);

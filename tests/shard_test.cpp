@@ -15,7 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "api/shard_engine.h"
+#include "api/sim_engine.h"
+#include "api/thread_engine.h"
 #include "bench_util/scenarios.h"
 #include "common/rng.h"
 #include "dataflow/graph.h"
@@ -26,7 +27,6 @@
 #include "shard/placement.h"
 #include "shard/session.h"
 #include "shard/shard_runtime.h"
-#include "shard/socket_transport.h"
 #include "shard/wire.h"
 #include "state/slate_store.h"
 
@@ -465,77 +465,6 @@ TEST(InprocTransportTest, ConcurrentSendersKeepPerChannelOrder) {
   }
   EXPECT_EQ(received, 2 * kPerSender);
   EXPECT_EQ(t.stats().frames_sent, static_cast<std::uint64_t>(received));
-}
-
-// ---------------------------------------------------------------------------
-// SocketTransport (the CI socket smoke runs this suite; see ci.yml).
-// ---------------------------------------------------------------------------
-
-void RoundTripOver(SocketTransport& t) {
-  t.Start(2);
-  Rng rng(33);
-  constexpr int kFrames = 40;
-  std::vector<Message> sent;
-  for (int i = 0; i < kFrames; ++i) {
-    sent.push_back(RandomMessage(rng, rng.UniformInt(0, 64)));
-    WireFrame f = AcquireFrame();
-    EncodeMessage(sent.back(), f);
-    t.Send(0, 1, /*now=*/i, std::move(f));
-  }
-  int received = 0;
-  WireFrame out;
-  // Socket delivery is asynchronous (kernel buffering): poll until drained.
-  for (int spin = 0; received < kFrames && spin < 100'000; ++spin) {
-    if (!t.Receive(1, kTimeMax, out)) continue;
-    Message m;
-    ASSERT_TRUE(DecodeMessage(out, m));
-    ExpectBitIdentical(sent[static_cast<std::size_t>(received)], m);
-    m.batch.Recycle();
-    ReleaseFrame(std::move(out));
-    ++received;
-  }
-  EXPECT_EQ(received, kFrames);
-  for (Message& m : sent) m.batch.Recycle();
-}
-
-TEST(SocketTransportTest, UnixPairRoundTrip) {
-  SocketTransport t(SocketTransport::Mode::kUnixPair);
-  RoundTripOver(t);
-}
-
-TEST(SocketTransportTest, TcpLoopbackRoundTrip) {
-  SocketTransport t(SocketTransport::Mode::kTcpLoopback);
-  RoundTripOver(t);
-}
-
-TEST(SocketTransportTest, LargeFrameReassembles) {
-  // A frame far larger than a socket buffer: exercises partial writes on the
-  // sender (the writer thread blocks mid-frame) and reassembly across many
-  // short reads on the receiver.
-  SocketTransport t(SocketTransport::Mode::kUnixPair);
-  t.Start(2);
-  Rng rng(44);
-  Message big = RandomMessage(rng, 60'000);  // ~1.4 MB of columns
-  WireFrame f = AcquireFrame();
-  EncodeMessage(big, f);
-  const std::size_t frame_size = f.bytes.size();
-  std::thread writer([&t, frame = std::move(f)]() mutable {
-    t.Send(0, 1, 0, std::move(frame));
-  });
-  WireFrame out;
-  bool got = false;
-  for (int spin = 0; !got && spin < 10'000'000; ++spin) {
-    got = t.Receive(1, kTimeMax, out);
-  }
-  writer.join();
-  ASSERT_TRUE(got);
-  EXPECT_EQ(out.bytes.size(), frame_size);
-  Message m;
-  ASSERT_TRUE(DecodeMessage(out, m));
-  ExpectBitIdentical(big, m);
-  m.batch.Recycle();
-  big.batch.Recycle();
-  ReleaseFrame(std::move(out));
 }
 
 // ---------------------------------------------------------------------------
@@ -1043,14 +972,14 @@ TEST(ChaosCluster, AdmissionSheddingEngagesAndLedgerBalances) {
   EXPECT_GT(r.rows_seen, 0);  // shedding degrades, it does not wedge
 }
 
-TEST(ShardEngineTest, FacadeExposesShardReadSide) {
+TEST(ShardedSimEngineTest, FacadeExposesShardReadSide) {
   EngineOptions eo;
   eo.workers = 2;
   eo.shards = 3;
   eo.seed = 4;
-  ShardEngine engine(eo);
-  EXPECT_EQ(engine.backend(), "shard");
-  EXPECT_EQ(engine.num_shards(), 3);
+  SimEngine engine(eo);
+  EXPECT_EQ(engine.backend(), "sim");
+  EXPECT_EQ(engine.options().shards, 3);
 
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   IngestSpec ingest;
@@ -1060,16 +989,18 @@ TEST(ShardEngineTest, FacadeExposesShardReadSide) {
   QueryHandle q = engine.Submit(AggregationQueryDef(spec).Ingest(ingest));
   engine.RunFor(Seconds(1));
 
-  // Mid-run reads (satellite: snapshot accessors usable before Summarize).
-  const std::vector<PolicyCounter> counters = engine.policy_counters();
+  // Mid-run reads: the snapshot accessors are usable before Summarize.
+  const std::vector<PolicyCounter> counters =
+      engine.cluster().PolicyCountersSnapshot();
   (void)counters;  // roster may be empty for LLF; the call must be safe
+  ShardRuntime& shards = engine.cluster().shard_runtime();
   std::uint64_t dispatched = 0;
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    dispatched += engine.shard_stats(s).dispatched;
+  for (int s = 0; s < engine.options().shards; ++s) {
+    dispatched += shards.scheduler(s).stats().dispatched;
   }
   EXPECT_EQ(dispatched, engine.sched_stats().dispatched);
   for (OperatorId op : engine.graph().OperatorsOf(q.job())) {
-    const int shard = engine.ShardOf(op);
+    const int shard = shards.ShardOf(op);
     EXPECT_GE(shard, 0);
     EXPECT_LT(shard, 3);
   }
@@ -1077,14 +1008,19 @@ TEST(ShardEngineTest, FacadeExposesShardReadSide) {
   engine.RunFor(Seconds(1));
   RunResult result = engine.Summarize(Seconds(2));
   EXPECT_GT(result.sched.dispatched, 0u);
-  EXPECT_EQ(engine.wire_stats().frames_encoded,
-            engine.wire_stats().frames_decoded);
+  EXPECT_GT(engine.transport_stats().frames_sent, 0u);
+  EXPECT_EQ(shards.wire_stats().frames_encoded,
+            shards.wire_stats().frames_decoded);
 }
 
-TEST(ShardEngineTest, ThreadBackendRejectsShards) {
-  EngineOptions eo;
-  eo.shards = 0;
-  EXPECT_DEATH(ShardEngine{eo}, "shards");
+TEST(ShardedEngineDeathTest, RejectsUnsupportedShardCounts) {
+  EngineOptions none;
+  none.shards = 0;
+  EXPECT_DEATH(SimEngine{none}, "shards");
+  // The wall-clock backend is one machine: any sharding is refused.
+  EngineOptions two;
+  two.shards = 2;
+  EXPECT_DEATH(ThreadEngine{two}, "shards");
 }
 
 }  // namespace

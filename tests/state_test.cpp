@@ -64,9 +64,13 @@ TEST(SlateStoreTest, MatchesUnorderedMapUnderChurn) {
       const auto it = ref.find(key);
       const double* found = store.Find(key);
       ASSERT_EQ(found != nullptr, it != ref.end());
-      if (found != nullptr) EXPECT_DOUBLE_EQ(*found, it->second);
+      if (found != nullptr) {
+        EXPECT_DOUBLE_EQ(*found, it->second);
+      }
     }
-    if (round % 50'000 == 0) EXPECT_EQ(store.size(), ref.size());
+    if (round % 50'000 == 0) {
+      EXPECT_EQ(store.size(), ref.size());
+    }
   }
   ASSERT_EQ(store.size(), ref.size());
   std::vector<std::pair<std::int64_t, double>> got;
