@@ -49,9 +49,9 @@ void RuntimeScalingPanel(bench::BenchContext& ctx) {
       graph.Connect(src, sink, Partition::kOneToOne);
       sources.push_back(graph.stage(src).operators[0]);
     }
-    RuntimeConfig cfg;
-    cfg.num_workers = workers;
-    cfg.emulate_cost = true;  // 4 ms sleep-dominated cost per source message
+    EngineOptions cfg;
+    cfg.workers = workers;
+    cfg.wallclock.emulate_cost = true;  // 4 ms sleep-dominated cost per source message
     ThreadRuntime rt(cfg, std::move(graph));
     for (int k = 0; k < kMsgsPerJob; ++k) {
       for (OperatorId src : sources) rt.Ingest(src, 1, k + 1);

@@ -366,6 +366,7 @@ JobHandles QueryDef::Build(DataflowGraph& g) const {
         s.window.windowed()) {
       job.output_window = s.window.size;
       job.output_slide = s.window.slide;
+      job.output_gap = s.window.gap;
     }
   }
 

@@ -9,22 +9,6 @@
 
 namespace cameo {
 
-namespace {
-
-RuntimeConfig ToRuntimeConfig(const EngineOptions& o) {
-  RuntimeConfig cfg;
-  cfg.num_workers = o.workers;
-  cfg.scheduler = o.scheduler;
-  cfg.sched = o.sched;
-  cfg.policy = o.policy;
-  cfg.use_query_semantics = o.use_query_semantics;
-  cfg.emulate_cost = o.wallclock.emulate_cost;
-  cfg.seed = o.seed;
-  return cfg;
-}
-
-}  // namespace
-
 ThreadEngine::ThreadEngine(EngineOptions options) : Engine(std::move(options)) {
   // Sharding is a sim-backend capability (src/shard/): the wall-clock
   // runtime is one machine by definition. Reject rather than silently run
@@ -41,8 +25,7 @@ void ThreadEngine::Start() {
   // Producers reach this concurrently through Ingest/IngestBatch: exactly
   // one of them builds the runtime, the rest wait until it has started.
   std::call_once(start_once_, [this] {
-    runtime_ = std::make_unique<ThreadRuntime>(ToRuntimeConfig(options_),
-                                               std::move(staging_));
+    runtime_ = std::make_unique<ThreadRuntime>(options_, std::move(staging_));
     runtime_->Start();
   });
 }

@@ -66,6 +66,9 @@ struct JobSpec {
   /// them. Slide 0 marks a per-message (non-windowed) output.
   LogicalTime output_window = 0;
   LogicalTime output_slide = 0;
+  /// Gap of the final windowed stage when it is a session window, else 0:
+  /// a session's output boundary is its last event's time plus the gap.
+  LogicalTime output_gap = 0;
   /// Target ingestion share for the token fair-sharing policy (§5.4);
   /// <= 0 disables tokens for the job.
   double token_rate_per_sec = 0;

@@ -8,13 +8,16 @@ namespace cameo {
 
 void LatencyRecorder::RegisterJob(JobId job, Duration latency_constraint,
                                   LogicalTime output_window,
-                                  LogicalTime output_slide) {
+                                  LogicalTime output_slide,
+                                  LogicalTime session_gap) {
   CAMEO_EXPECTS(jobs_.find(job) == jobs_.end());
   CAMEO_EXPECTS(output_slide >= 0 && output_window >= output_slide);
+  CAMEO_EXPECTS(session_gap >= 0 && (session_gap == 0 || output_slide > 0));
   JobState s;
   s.constraint = latency_constraint;
   s.window = output_window;
   s.slide = output_slide;
+  s.gap = session_gap;
   jobs_.emplace(job, std::move(s));
 }
 
@@ -47,9 +50,15 @@ std::optional<SimTime> LatencyRecorder::LastArrivalFor(
     return window_end;  // caller passes the event arrival time directly
   }
   // Window (B - W, B] spans slide buckets (B - W)/S + 1 .. B/S inclusive.
-  SimTime last = kTimeMin;
   std::int64_t from = (window_end - s.window) / s.slide + 1;
   std::int64_t to = window_end / s.slide;
+  if (s.gap > 0) {
+    // A session closes at B = (its last event) + gap: read that event's
+    // bucket, ceil((B - gap) / S), which the range above misses whenever
+    // the last event lies on a multiple of S.
+    from = to = (window_end - s.gap + s.slide - 1) / s.slide;
+  }
+  SimTime last = kTimeMin;
   for (std::int64_t b = from; b <= to; ++b) {
     auto it = s.last_arrival.find(b);
     if (it != s.last_arrival.end()) last = std::max(last, it->second);
@@ -82,7 +91,7 @@ void LatencyRecorder::MergeFrom(const LatencyRecorder& other) {
     }
     JobState& s = it->second;
     CAMEO_EXPECTS(s.constraint == o.constraint && s.window == o.window &&
-                  s.slide == o.slide);
+                  s.slide == o.slide && s.gap == o.gap);
     for (const auto& [bucket, arrival] : o.last_arrival) {
       SimTime& last = s.last_arrival[bucket];
       last = std::max(last, arrival);

@@ -23,8 +23,11 @@ class LatencyRecorder {
   /// Declares a job. `output_window`/`output_slide` describe the final
   /// windowed stage in logical ticks (slide = window for tumbling output;
   /// slide 0 means per-message output: latency = emit - event arrival).
+  /// `session_gap` > 0 marks a session-window output, whose boundary B is
+  /// the session's last event time plus the gap.
   void RegisterJob(JobId job, Duration latency_constraint,
-                   LogicalTime output_window, LogicalTime output_slide);
+                   LogicalTime output_window, LogicalTime output_slide,
+                   LogicalTime session_gap = 0);
 
   /// Called for every event ingested at a source of `job`.
   void OnSourceEvent(JobId job, LogicalTime p, SimTime arrival);
@@ -84,6 +87,7 @@ class LatencyRecorder {
     Duration constraint = 0;
     LogicalTime window = 0;
     LogicalTime slide = 0;
+    LogicalTime gap = 0;
     // slide-bucket index -> last arrival time of any event in the bucket
     std::unordered_map<std::int64_t, SimTime> last_arrival;
     SampleStats latency;

@@ -5,24 +5,31 @@
 namespace cameo {
 
 ShardedLatencyRecorder::ShardedLatencyRecorder(int worker_shards) {
-  CAMEO_EXPECTS(worker_shards >= 1 && worker_shards <= kMaxShards);
-  shards_.reserve(kMaxShards);
-  for (int i = 0; i < kMaxShards; ++i) {
+  CAMEO_EXPECTS(worker_shards >= 1);
+  shards_.reserve(static_cast<std::size_t>(worker_shards));
+  for (int i = 0; i < worker_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
 
+ShardedLatencyRecorder::Shard& ShardedLatencyRecorder::ShardAt(int index) {
+  CAMEO_EXPECTS(index >= 0 && static_cast<std::size_t>(index) < shards_.size());
+  return *shards_[static_cast<std::size_t>(index)];
+}
+
 void ShardedLatencyRecorder::RegisterJob(JobId job, Duration latency_constraint,
                                          LogicalTime output_window,
-                                         LogicalTime output_slide) {
+                                         LogicalTime output_slide,
+                                         LogicalTime session_gap) {
   {
     std::lock_guard lock(ingest_mu_);
-    ingest_.RegisterJob(job, latency_constraint, output_window, output_slide);
+    ingest_.RegisterJob(job, latency_constraint, output_window, output_slide,
+                        session_gap);
   }
   for (auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
     shard->rec.RegisterJob(job, latency_constraint, output_window,
-                           output_slide);
+                           output_slide, session_gap);
   }
 }
 
@@ -38,23 +45,23 @@ void ShardedLatencyRecorder::OnProcessed(JobId job, std::int64_t tuples,
   ingest_.OnProcessed(job, tuples, now);
 }
 
-void ShardedLatencyRecorder::OnSinkOutput(int shard, JobId job,
+void ShardedLatencyRecorder::OnSinkOutput(int index, JobId job,
                                           LogicalTime window_end,
                                           SimTime emit) {
+  Shard& s = ShardAt(index);
   std::optional<SimTime> last;
   {
     std::lock_guard lock(ingest_mu_);
     last = ingest_.LastArrivalFor(job, window_end);
   }
   if (!last.has_value()) return;  // empty window: no latency defined
-  Shard& s = *shards_[static_cast<std::size_t>(shard)];
   std::lock_guard lock(s.mu);
   s.rec.RecordOutput(job, emit, emit - *last);
 }
 
-void ShardedLatencyRecorder::OnSinkTuples(int shard, JobId job,
+void ShardedLatencyRecorder::OnSinkTuples(int index, JobId job,
                                           std::int64_t tuples, SimTime now) {
-  Shard& s = *shards_[static_cast<std::size_t>(shard)];
+  Shard& s = ShardAt(index);
   std::lock_guard lock(s.mu);
   s.rec.OnSinkTuples(job, tuples, now);
 }

@@ -8,11 +8,11 @@
 // emitting worker's shard under a per-shard mutex that only that worker
 // normally touches, so it is uncontended at steady state; the lock exists
 // because dynamic multi-tenancy registers hot-added queries into every shard
-// while workers are live, and elastic worker pools merge shards mid-run.
-// Shard slots are pre-allocated for the scheduler's whole worker-id range,
-// so growing the pool needs no publication protocol at all. Readers merge
-// ingest + shards into a plain LatencyRecorder; reads are exact once workers
-// are quiescent (after Drain()).
+// while workers are live, and readers may merge mid-run. The runtime's
+// worker pool is fixed, so there is exactly one shard per worker, allocated
+// at construction. Readers merge ingest + shards into a plain
+// LatencyRecorder; reads are exact once workers are quiescent (after
+// Drain()).
 #pragma once
 
 #include <memory>
@@ -25,18 +25,15 @@ namespace cameo {
 
 class ShardedLatencyRecorder {
  public:
-  /// Matches Scheduler::kMaxWorkers: one shard per possible worker id.
-  static constexpr int kMaxShards = 256;
-
-  /// `worker_shards` is the initially active worker count (validated
-  /// against kMaxShards); all shard slots are allocated up front so the
-  /// runtime can grow its pool later without touching this class.
+  /// One sink-side shard per worker; worker-side calls take a shard index
+  /// in [0, worker_shards) and reject any other.
   explicit ShardedLatencyRecorder(int worker_shards);
 
   /// Declares a job on the ingest recorder and every shard. Safe while
   /// workers are recording (query hot-add).
   void RegisterJob(JobId job, Duration latency_constraint,
-                   LogicalTime output_window, LogicalTime output_slide);
+                   LogicalTime output_window, LogicalTime output_slide,
+                   LogicalTime session_gap = 0);
 
   // ---- ingest side (any thread; serialized on the ingest mutex) ----
   void OnSourceEvent(JobId job, LogicalTime p, SimTime arrival);
@@ -71,6 +68,8 @@ class ShardedLatencyRecorder {
     std::mutex mu;
     LatencyRecorder rec;
   };
+
+  Shard& ShardAt(int index);
 
   mutable std::mutex ingest_mu_;
   LatencyRecorder ingest_;  // arrivals + processed-volume accounting

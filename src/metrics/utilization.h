@@ -13,7 +13,7 @@ class UtilizationTracker {
  public:
   void AddBusy(WorkerId w, Duration d);
   void SetSpan(Duration span) { span_ = span; }
-  void SetWorkerCount(int n) { workers_ = n; }
+  void SetWorkers(int n) { workers_ = n; }
 
   Duration busy(WorkerId w) const;
   Duration total_busy() const;

@@ -24,16 +24,18 @@ void SpinFor(Duration d) {
 
 }  // namespace
 
-ThreadRuntime::ThreadRuntime(RuntimeConfig config, DataflowGraph graph)
-    : config_(config),
+ThreadRuntime::ThreadRuntime(EngineOptions options, DataflowGraph graph)
+    : options_(std::move(options)),
       graph_(std::move(graph)),
-      policy_(MakePolicy(config.policy, PolicyOptions{.seed = config.seed})),
-      scheduler_(
-          MakeScheduler(config.scheduler, config.num_workers, config.sched)),
-      latency_(config.num_workers),
+      policy_(MakePolicy(options_.policy,
+                         PolicyOptions{.seed = options_.seed})),
+      scheduler_(MakeScheduler(options_.scheduler, options_.workers,
+                               options_.sched)),
+      latency_(options_.workers),
       start_(std::chrono::steady_clock::now()) {
-  CAMEO_EXPECTS(config.num_workers >= 1 &&
-                config.num_workers <= Scheduler::kMaxWorkers);
+  CAMEO_EXPECTS(options_.workers >= 1 &&
+                options_.workers <= Scheduler::kMaxWorkers);
+  CAMEO_EXPECTS(options_.shards == 1);
   policy_->BindCostReader(&profiler_);
   std::lock_guard control(control_mu_);
   for (JobId job : graph_.job_ids()) RegisterJobTables(job);
@@ -44,9 +46,9 @@ ThreadRuntime::~ThreadRuntime() { Stop(); }
 void ThreadRuntime::RegisterJobTables(JobId job) {
   const JobSpec& spec = graph_.job(job);
   latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
-                       spec.output_slide);
+                       spec.output_slide, spec.output_gap);
   ConverterOptions options;
-  options.use_query_semantics = config_.use_query_semantics;
+  options.use_query_semantics = options_.use_query_semantics;
   options.time_domain = spec.time_domain;
   std::vector<OperatorId> ops = graph_.OperatorsOf(job);
   converters_.InsertAll(ops, [&](OperatorId) {
@@ -115,45 +117,11 @@ SimTime ThreadRuntime::Now() const {
 
 void ThreadRuntime::Start() {
   CAMEO_EXPECTS(threads_.empty());
-  start_ = std::chrono::steady_clock::now();
   stop_.store(false, std::memory_order_seq_cst);
   std::lock_guard control(control_mu_);
-  target_workers_.store(config_.num_workers, std::memory_order_seq_cst);
-  for (int i = 0; i < config_.num_workers; ++i) {
+  for (int i = 0; i < options_.workers; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
-}
-
-void ThreadRuntime::SetWorkerCount(int workers) {
-  CAMEO_EXPECTS(workers >= 1 && workers <= Scheduler::kMaxWorkers);
-  std::lock_guard control(control_mu_);
-  config_.num_workers = workers;
-  // Retarget placement first (and also before Start(): a statically pinned
-  // scheduler sized at construction would otherwise keep placing work on
-  // slots that will never have a worker).
-  scheduler_->SetWorkerTarget(workers);
-  if (threads_.empty()) return;  // not started yet: Start() spawns to target
-  int cur = static_cast<int>(threads_.size());
-  if (workers == cur) return;
-  target_workers_.store(workers, std::memory_order_seq_cst);
-  if (workers > cur) {
-    for (int i = cur; i < workers; ++i) {
-      threads_.emplace_back([this, i] { WorkerLoop(i); });
-    }
-    return;
-  }
-  wake_cv_.notify_all();
-  for (int i = workers; i < cur; ++i) threads_[static_cast<std::size_t>(i)].join();
-  threads_.resize(static_cast<std::size_t>(workers));
-  // Second pass recovers any work the exiting workers parked on their
-  // private structures after the first retarget.
-  scheduler_->SetWorkerTarget(workers);
-}
-
-int ThreadRuntime::worker_count() const {
-  std::lock_guard control(control_mu_);
-  return threads_.empty() ? config_.num_workers
-                          : static_cast<int>(threads_.size());
 }
 
 void ThreadRuntime::Drain() {
@@ -281,17 +249,14 @@ class ThreadRuntime::WorkerHooks final : public StepHooks {
 
 void ThreadRuntime::WorkerLoop(int index) {
   WorkerId w{index};
-  Rng rng(config_.seed + static_cast<std::uint64_t>(index) * 7919);
+  Rng rng(options_.seed + static_cast<std::uint64_t>(index) * 7919);
   CollectingEmitter emitter;
   // The activation this worker holds (claim-and-drain contract): all
   // messages target one operator, claimed until the CompleteAndDequeue or
   // OnComplete below. Empty while the worker holds nothing. The batch and
   // the emitter retain capacity, keeping the loop allocation-free.
   std::vector<Message> batch;
-  auto leaving = [this, index] {
-    return stop_.load(std::memory_order_seq_cst) ||
-           index >= target_workers_.load(std::memory_order_seq_cst);
-  };
+  auto leaving = [this] { return stop_.load(std::memory_order_seq_cst); };
   // Sleeps until woken or 200 us pass; false when the worker must leave.
   auto park = [&] {
     std::unique_lock lock(wake_mu_);
@@ -324,7 +289,7 @@ void ThreadRuntime::WorkerLoop(int index) {
     for (Message& msg : batch) {
       // The profiled cost is measured: emulated compute plus the invocation.
       const SimTime start = Now();
-      if (config_.emulate_cost) {
+      if (options_.wallclock.emulate_cost) {
         SpinFor(op.cost_model().Sample(msg.batch.size(), rng));
       }
       ExecuteStep(a, msg,
@@ -333,8 +298,9 @@ void ThreadRuntime::WorkerLoop(int index) {
     const std::size_t done = batch.size();
     batch.clear();
     // A continuing operator keeps its claim across CompleteAndDequeue, so a
-    // leaving worker must release it with OnComplete: a claim that outlived
-    // the worker would strand the operator's backlog.
+    // worker leaving on Stop() must release it with OnComplete: a claim that
+    // outlived the worker would strand the operator's backlog across a
+    // later Start().
     const bool leave = leaving();
     std::size_t next = 0;
     if (leave) {

@@ -21,10 +21,9 @@
 //  - Ingest is serialized per *source* (monotone progress per channel), not
 //    globally, and is gated per job: once RemoveQuery flips a job's live
 //    bit, Ingest returns false instead of enqueueing.
-//  - SetWorkerCount() grows and shrinks the worker pool mid-run (elastic
-//    workers); shrink signals the excess workers, joins them after their
-//    current invocation, and lets the scheduler re-pin any statically
-//    placed work.
+//  - The worker pool is fixed at `options.workers` for the runtime's life:
+//    Cameo meets deadlines by scheduling on a fixed set of workers, not by
+//    resizing the pool. Stop() followed by Start() restarts the same pool.
 #pragma once
 
 #include <atomic>
@@ -37,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/engine_options.h"
 #include "common/cow_index.h"
 #include "common/rng.h"
 #include "core/context_converter.h"
@@ -47,20 +47,12 @@
 
 namespace cameo {
 
-struct RuntimeConfig {
-  int num_workers = 2;
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  SchedulerConfig sched;
-  std::string policy = "LLF";
-  bool use_query_semantics = true;
-  /// Spin/sleep for each invocation's CostModel duration to emulate compute.
-  bool emulate_cost = true;
-  std::uint64_t seed = 1;
-};
-
 class ThreadRuntime {
  public:
-  ThreadRuntime(RuntimeConfig config, DataflowGraph graph);
+  /// Reads the shared options plus `options.wallclock.emulate_cost`;
+  /// `options.sim` has no meaning on the wall clock and is ignored. One
+  /// machine only: `options.shards` must be 1.
+  ThreadRuntime(EngineOptions options, DataflowGraph graph);
   ~ThreadRuntime();
 
   ThreadRuntime(const ThreadRuntime&) = delete;
@@ -95,13 +87,8 @@ class ThreadRuntime {
   /// True until RemoveQuery(job) begins.
   bool QueryLive(JobId job) const;
 
-  /// Elastic worker pool: grows by spawning workers, shrinks by signalling
-  /// and joining the excess ones after their current invocation. May be
-  /// called before Start() (just retargets the initial pool size).
-  void SetWorkerCount(int workers);
-  int worker_count() const;
-
-  /// Nanoseconds since Start().
+  /// Nanoseconds since construction. A Stop()/Start() cycle keeps the
+  /// epoch, so arrival and emit times stay comparable across a restart.
   SimTime Now() const;
 
   /// Ingests a synthetic batch at `source`. Logical time defaults to the
@@ -151,7 +138,7 @@ class ThreadRuntime {
   void EnqueueTracked(Message m, WorkerId producer, JobState& js);
   void FinishOne(JobState& js);
 
-  RuntimeConfig config_;
+  EngineOptions options_;
   DataflowGraph graph_;
   std::unique_ptr<SchedulingPolicy> policy_;
   std::unique_ptr<Scheduler> scheduler_;
@@ -163,14 +150,13 @@ class ThreadRuntime {
   ShardedLatencyRecorder latency_;
 
   std::atomic<bool> stop_{false};
-  std::atomic<int> target_workers_{0};
   /// Messages enqueued but not yet fully processed (invocation + routing).
   std::atomic<std::int64_t> inflight_{0};
   std::atomic<std::int64_t> next_message_id_{0};
 
-  // Serializes AddQuery/RemoveQuery/SetWorkerCount (control plane only;
-  // never touched by the per-message path).
-  mutable std::mutex control_mu_;
+  // Serializes AddQuery/RemoveQuery/Start (control plane only; never
+  // touched by the per-message path).
+  std::mutex control_mu_;
 
   // Sleep/wake plumbing only -- protects no data.
   std::mutex wake_mu_;

@@ -31,12 +31,6 @@ class OrleansScheduler final : public Scheduler {
 
   std::string name() const override { return "Orleans"; }
 
-  /// Worker shrink: flushes exiting workers' bags to the global queue (call
-  /// after those workers have stopped) so their work stays reachable.
-  void SetWorkerTarget(int num_workers) override {
-    ready_.FlushBagsBeyond(num_workers);
-  }
-
  protected:
   void PurgeReady(const std::vector<OperatorId>& ops) override;
   /// Remaining work goes to worker `w`'s bag (bag locality).

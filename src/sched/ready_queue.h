@@ -231,17 +231,6 @@ class OrleansReadyState {
     global_.erase_if(in_ops);
   }
 
-  /// Worker shrink: moves the bags of workers with index >= `workers` to the
-  /// global queue so their entries stay reachable after those threads exit.
-  void FlushBagsBeyond(int workers) {
-    std::lock_guard lock(mu_);
-    for (auto& [w, bag] : bags_) {
-      if (w.value < workers) continue;
-      for (ReadyEntry& e : bag) global_.push_back(e);
-      bag.clear();
-    }
-  }
-
  private:
   mutable std::mutex mu_;
   std::unordered_map<WorkerId, std::vector<ReadyEntry>> bags_;
@@ -285,19 +274,6 @@ class SlotReadyQueues {
     for (auto& [w, q] : queues_) {
       q.erase_if([&](const ReadyEntry& e) { return ops.count(e.op) > 0; });
     }
-  }
-
-  /// Worker shrink: removes and returns every entry queued for a worker with
-  /// index >= `workers`, so the caller can re-pin and re-push them.
-  std::vector<ReadyEntry> DrainSlotsBeyond(int workers) {
-    std::lock_guard lock(mu_);
-    std::vector<ReadyEntry> out;
-    for (auto& [w, q] : queues_) {
-      if (w.value < workers) continue;
-      out.insert(out.end(), q.begin(), q.end());
-      q.clear();
-    }
-    return out;
   }
 
  private:

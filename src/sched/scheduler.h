@@ -12,7 +12,7 @@
 // continues its operator, CompleteAndDequeue keeps the claim: the mailbox
 // never passes through the ready structure, and only a yield (or an empty
 // mailbox) releases it. OnComplete ends an activation and always releases;
-// worker loops call it only when the worker leaves (Stop or a pool shrink).
+// worker loops call it only when the worker leaves on Stop.
 //
 // Concurrency contract (see DESIGN.md §1): Enqueue may be called from any
 // thread concurrently with the worker-side calls. Enqueue appends lock-free
@@ -31,9 +31,7 @@
 // mailboxes -- each rejects every later Enqueue (counted in
 // `stats().rejected`), has its remaining backlog purged with accounting
 // (`stats().purged`), and parks at the terminal kRetired state so no lazy
-// ready-queue entry can ever claim it again. SetWorkerTarget() lets the
-// wall-clock runtime grow and shrink its worker pool; only the slot
-// scheduler (static pinning) has real work to do there.
+// ready-queue entry can ever claim it again.
 #pragma once
 
 #include <atomic>
@@ -161,13 +159,6 @@ class Scheduler {
   /// release path. Returns the number of messages purged by this call.
   /// Thread-safe; may run concurrently with Enqueue/Dequeue/OnComplete.
   std::int64_t RetireOperators(const std::vector<OperatorId>& ops);
-
-  /// Announces the runtime's new worker-pool size. Call once with the new
-  /// target before signalling shrinking workers to exit (so future work is
-  /// placed within the surviving range) and once after they have exited (so
-  /// work parked on dead workers' private structures is recovered). The
-  /// default is a no-op; only placement-aware schedulers override.
-  virtual void SetWorkerTarget(int num_workers) { (void)num_workers; }
 
   std::size_t pending() const {
     std::int64_t p = pending_.load(std::memory_order_relaxed);

@@ -27,27 +27,6 @@ WorkerId SlotScheduler::SlotOf(OperatorId op) {
   return w;
 }
 
-void SlotScheduler::SetWorkerTarget(int num_workers) {
-  CAMEO_EXPECTS(num_workers >= 1);
-  {
-    std::lock_guard lock(assign_mu_);
-    num_workers_ = num_workers;
-    // Re-pin stranded operators round-robin over the surviving slots.
-    for (auto& [op, w] : assignment_) {
-      if (w.value >= num_workers) {
-        w = WorkerId{next_slot_ % num_workers};
-        ++next_slot_;
-      }
-    }
-  }
-  // Ready entries parked on removed slots follow their operator's new pin.
-  // Stale entries (their queued session already over) are re-pushed too;
-  // they fail the epoch claim on pop, exactly like any lazy-deleted entry.
-  for (const ReadyEntry& e : ready_.DrainSlotsBeyond(num_workers)) {
-    ready_.Push(SlotOf(e.op), e.op, e.epoch);
-  }
-}
-
 void SlotScheduler::PurgeReady(const std::vector<OperatorId>& ops) {
   ready_.EraseOps(std::unordered_set<OperatorId>(ops.begin(), ops.end()));
 }

@@ -32,13 +32,6 @@ class SlotScheduler final : public Scheduler {
 
   WorkerId SlotOf(OperatorId op);
 
-  /// Elastic workers: re-pins every operator assigned to a slot >= the new
-  /// count onto a surviving slot, and migrates the ready entries parked on
-  /// dead slots. Call once with the new target before shrinking workers stop
-  /// (future placement) and again after they have exited (stray migration);
-  /// growth only needs the first call.
-  void SetWorkerTarget(int num_workers) override;
-
  protected:
   void PurgeReady(const std::vector<OperatorId>& ops) override;
   void Release(OperatorId op, Mailbox& mb, WorkerId w) override;
@@ -52,7 +45,7 @@ class SlotScheduler final : public Scheduler {
                        std::vector<Message>& out);
 
   std::mutex assign_mu_;
-  int num_workers_;
+  const int num_workers_;
   std::int64_t next_slot_ = 0;
   std::unordered_map<OperatorId, WorkerId> assignment_;
   SlotReadyQueues ready_;

@@ -30,8 +30,9 @@ struct InprocTransport::Channel {
   std::uint64_t next_seq = 0;       // guarded by send_mu
 
   // ---- consumer side (single consumer per destination shard) ----
-  /// Drained-but-not-yet-delivered nodes, kept sorted by seq descending so
-  /// the next-in-order frame is at the back.
+  /// Drained-but-not-yet-delivered nodes: a heap whose front is the lowest
+  /// seq. Each arrival and each delivery costs O(log n), so
+  /// a backlog behind an undelivered head never makes a poll re-sort it.
   std::vector<FrameNode*> pending;
   std::uint64_t next_deliver_seq = 0;
 
@@ -116,31 +117,32 @@ bool InprocTransport::Receive(int to, SimTime now, WireFrame& out,
   // Fixed source order keeps multi-channel interleaving deterministic for
   // the sim; each call pops at most one frame, so no source can starve
   // another within an event.
+  auto later_seq = [](const FrameNode* a, const FrameNode* b) {
+    return a->seq > b->seq;  // heap order: the lowest seq on top
+  };
   for (int from = 0; from < num_shards_; ++from) {
     Channel& ch = ChannelAt(from, to);
     FrameNode* drained =
         ch.inbox.exchange(nullptr, std::memory_order_acquire);
     if (drained != nullptr) {
+      // Sequence assignment and the push race under concurrency, so drain
+      // order is not seq order; seq, assigned under send_mu, is
+      // authoritative.
       for (FrameNode* n = drained; n != nullptr;) {
         FrameNode* next = n->next;
         ch.pending.push_back(n);
+        std::push_heap(ch.pending.begin(), ch.pending.end(), later_seq);
         n = next;
       }
-      // Sort by seq descending (next-in-order at the back). Sequence
-      // assignment and the push race under concurrency, so drain order is
-      // not seq order; seq, assigned under send_mu, is authoritative.
-      std::sort(ch.pending.begin(), ch.pending.end(),
-                [](const FrameNode* a, const FrameNode* b) {
-                  return a->seq > b->seq;
-                });
     }
     if (ch.pending.empty()) continue;
-    FrameNode* head = ch.pending.back();
+    FrameNode* head = ch.pending.front();
     // Deliver strictly in seq order: a gap means a sender assigned a seq
     // under send_mu but has not completed its push yet -- its frame would
     // sort *before* head, so head must wait for it.
     if (head->seq != ch.next_deliver_seq) continue;
     if (head->frame.deliver_at > now) continue;  // not due yet
+    std::pop_heap(ch.pending.begin(), ch.pending.end(), later_seq);
     ch.pending.pop_back();
     ++ch.next_deliver_seq;
     out = std::move(head->frame);

@@ -9,42 +9,52 @@
 
 namespace cameo {
 
-Cluster::Cluster(ClusterConfig config, DataflowGraph graph)
-    : config_(config),
+namespace {
+
+/// Chaos-mode timer pump cadence: how often each shard services its session
+/// timers (retransmits, delayed acks) and drains parked frames when no
+/// receive event is otherwise scheduled.
+constexpr Duration kChaosPumpTick = Millis(2);
+
+}  // namespace
+
+Cluster::Cluster(EngineOptions options, DataflowGraph graph)
+    : options_(std::move(options)),
       graph_(std::move(graph)),
-      rng_(config.seed),
-      profiler_(/*smoothing=*/0.25, /*noise_seed=*/config.seed ^ 0x9e3779b9),
-      workers_(static_cast<std::size_t>(config.num_workers) *
-               static_cast<std::size_t>(config.num_shards)) {
-  CAMEO_EXPECTS(config.num_workers >= 1 &&
-                config.num_workers <= Scheduler::kMaxWorkers);
-  CAMEO_EXPECTS(config.num_shards >= 1);
+      rng_(options_.seed),
+      profiler_(/*smoothing=*/0.25, /*noise_seed=*/options_.seed ^ 0x9e3779b9),
+      workers_(static_cast<std::size_t>(options_.workers) *
+               static_cast<std::size_t>(options_.shards)) {
+  CAMEO_EXPECTS(options_.workers >= 1 &&
+                options_.workers <= Scheduler::kMaxWorkers);
+  CAMEO_EXPECTS(options_.shards >= 1);
+  const EngineOptions::SimOptions& sim = options_.sim;
   shard::ShardRuntimeOptions ro;
-  ro.num_shards = config_.num_shards;
-  ro.workers_per_shard = config_.num_workers;
-  ro.scheduler = config_.scheduler;
-  ro.sched = config_.sched;
-  ro.policy = config_.policy;
-  ro.seed = config_.seed;
-  ro.link = {config_.shard_link_delay, config_.shard_link_jitter};
-  ro.session = config_.shard_session;
-  ro.faults = config_.shard_faults;
-  ro.admission_limit = config_.admission_limit;
+  ro.num_shards = options_.shards;
+  ro.workers_per_shard = options_.workers;
+  ro.scheduler = options_.scheduler;
+  ro.sched = options_.sched;
+  ro.policy = options_.policy;
+  ro.seed = options_.seed;
+  ro.link = {sim.shard_link_delay, sim.shard_link_jitter};
+  ro.session = sim.shard_session;
+  ro.faults = sim.shard_faults;
+  ro.admission_limit = sim.admission_limit;
   runtime_ = std::make_unique<shard::ShardRuntime>(std::move(ro));
   chaos_mode_ = runtime_->session_enabled();
-  pump_active_.assign(static_cast<std::size_t>(config_.num_shards), false);
-  profiler_.SetPerturbation(config_.profiler_perturbation);
+  pump_active_.assign(static_cast<std::size_t>(options_.shards), false);
+  profiler_.SetPerturbation(sim.profiler_perturbation);
   // Every shard's policy reads the shared profiler. Profiler entries are
   // per-operator and an operator executes only on its owning shard, so the
   // shared map is semantically per-shard state.
   runtime_->BindCostReader(&profiler_);
-  timeline_.SetEnabled(config_.enable_timeline);
+  timeline_.SetEnabled(sim.enable_timeline);
   for (JobId job : graph_.job_ids()) RegisterJob(job);
 }
 
 void Cluster::SeedEstimatesFor(JobId job) {
   CriticalPathResult cp =
-      ComputeCriticalPath(graph_, job, config_.seed_nominal_tuples);
+      ComputeCriticalPath(graph_, job, options_.sim.seed_nominal_tuples);
   for (const auto& [op, cost] : cp.cost) profiler_.Seed(op, cost);
   for (StageId sid : graph_.stages_of(job)) {
     const StageInfo& stage = graph_.stage(sid);
@@ -65,7 +75,7 @@ void Cluster::SeedEstimatesFor(JobId job) {
 void Cluster::RegisterJob(JobId job) {
   const JobSpec& spec = graph_.job(job);
   ConverterOptions options;
-  options.use_query_semantics = config_.use_query_semantics;
+  options.use_query_semantics = options_.use_query_semantics;
   options.time_domain = spec.time_domain;
   for (OperatorId op : graph_.OperatorsOf(job)) {
     // Bound to the *owning shard's* policy instance: an operator's send
@@ -75,8 +85,8 @@ void Cluster::RegisterJob(JobId job) {
                                 runtime_->policy_of(op), options));
   }
   latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
-                       spec.output_slide);
-  if (config_.seed_static_estimates) SeedEstimatesFor(job);
+                       spec.output_slide, spec.output_gap);
+  if (options_.sim.seed_static_estimates) SeedEstimatesFor(job);
 }
 
 ContextConverter& Cluster::converter(OperatorId op) {
@@ -102,7 +112,7 @@ void Cluster::AddIngestion(StageId source_stage,
       CAMEO_CHECK(s.sampler != nullptr);
       // Distinct deterministic stream per source; decoupled from rng_ so
       // keyed ingestion cannot shift any existing scenario's replay.
-      s.key_rng = Rng(config_.seed * 0x9E3779B97F4A7C15ULL +
+      s.key_rng = Rng(options_.seed * 0x9E3779B97F4A7C15ULL +
                       (sources_.size() + 1) * 0xD1B54A32D192ED03ULL);
     }
     if (spec.token_rate_per_sec > 0) {
@@ -143,7 +153,7 @@ int Cluster::ScheduleQuery(SimTime at, SimTime until, QueryBuilder builder,
     if (q.until > q.at) {
       events_.Schedule(q.until, [this, job = h.job] { RemoveQueryNow(job); });
     }
-    if (config_.token_total_rate > 0) RebalanceTokens();
+    if (options_.sim.token_total_rate > 0) RebalanceTokens();
   });
   return ticket;
 }
@@ -162,7 +172,7 @@ void Cluster::RemoveQueryNow(JobId job) {
   // purged at quiescence; messages_purged() reads the stats so purges an
   // active mailbox defers to its owner's release are counted too).
   runtime_->RetireOperators(ops);
-  if (config_.token_total_rate > 0) RebalanceTokens();
+  if (options_.sim.token_total_rate > 0) RebalanceTokens();
 }
 
 void Cluster::At(SimTime t, std::function<void()> fn) {
@@ -181,7 +191,7 @@ void Cluster::SetJobTokenRate(JobId job, double per_source_rate) {
 
 void Cluster::RebalanceTokens() {
   // Weights are the specs' configured token rates; the live tenants split
-  // config_.token_total_rate proportionally (SplitTokenShares, shared with
+  // options_.sim.token_total_rate proportionally (SplitTokenShares, shared with
   // the churn scripts), spread over each job's sources.
   struct Member {
     JobId job;
@@ -203,7 +213,7 @@ void Cluster::RebalanceTokens() {
     }
   }
   std::vector<double> shares =
-      SplitTokenShares(config_.token_total_rate, weights);
+      SplitTokenShares(options_.sim.token_total_rate, weights);
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (shares[i] <= 0) continue;
     SetJobTokenRate(members[i].job, shares[i] / std::max(1, members[i].sources));
@@ -323,8 +333,8 @@ void Cluster::SessionPump(int shard) {
   // that became deliverable while no receive event was scheduled (e.g. the
   // end of a stall window).
   DrainShardFrames(shard);
-  SimTime next = events_.now() + config_.chaos_pump_tick;
-  if (deadline < next) next = std::max(deadline, events_.now() + 1);
+  SimTime next = SatAdd(events_.now(), kChaosPumpTick);
+  if (deadline < next) next = std::max(deadline, SatAdd(events_.now(), 1));
   if (next <= pump_until_) {
     events_.Schedule(next, [this, shard] { SessionPump(shard); });
   } else {
@@ -338,9 +348,9 @@ void Cluster::KickIdleWorkers(int shard) {
   // given message. A kicked worker that finds nothing simply goes idle
   // again. Workers of other shards are never kicked -- their schedulers
   // hold no new work.
-  const std::size_t begin =
-      static_cast<std::size_t>(shard) * config_.num_workers;
-  const std::size_t end = begin + static_cast<std::size_t>(config_.num_workers);
+  const auto workers = static_cast<std::size_t>(options_.workers);
+  const std::size_t begin = static_cast<std::size_t>(shard) * workers;
+  const std::size_t end = begin + workers;
   for (std::size_t i = begin; i < end; ++i) {
     WorkerState& ws = workers_[i];
     if (ws.busy || ws.kicked) continue;
@@ -374,14 +384,15 @@ void Cluster::StartActivation(WorkerId w) {
   Duration total = 0;
   for (Message& m : batch_scratch_) {
     Duration exec = op.cost_model().Sample(m.batch.size(), rng_);
-    if (config_.straggler_prob > 0 && rng_.Chance(config_.straggler_prob)) {
+    if (options_.sim.straggler_prob > 0 &&
+        rng_.Chance(options_.sim.straggler_prob)) {
       exec = static_cast<Duration>(static_cast<double>(exec) *
-                                   config_.straggler_factor);
+                                   options_.sim.straggler_factor);
     }
     exec_scratch_.push_back(exec);
     total += exec;
   }
-  if (!(ws.last_op == target)) total += config_.switch_cost;
+  if (!(ws.last_op == target)) total += options_.sim.switch_cost;
   ws.busy = true;
   ws.last_op = target;
   utilization_.AddBusy(w, total);
@@ -404,7 +415,7 @@ void Cluster::StartActivation(WorkerId w) {
     static_assert(sizeof(done) <= EventQueue::kActionCapacity,
                   "completion closure outgrew the inline event buffer; the "
                   "common sim path would heap-allocate every event");
-    events_.Schedule(events_.now() + total, std::move(done));
+    events_.Schedule(SatAdd(events_.now(), total), std::move(done));
     return;
   }
   // Batched path: the messages move into a pooled DispatchBatch whose
@@ -415,7 +426,7 @@ void Cluster::StartActivation(WorkerId w) {
   b.execs.clear();
   std::swap(b.msgs, batch_scratch_);
   std::swap(b.execs, exec_scratch_);
-  events_.Schedule(events_.now() + total,
+  events_.Schedule(SatAdd(events_.now(), total),
                    [this, w, b = std::move(b), dispatch_time]() mutable {
                      const OperatorId t = b.msgs.front().target;
                      Execute(w, dispatch_time, b.msgs, b.execs);
@@ -443,8 +454,9 @@ class Cluster::SimHooks final : public StepHooks {
       static_assert(sizeof(deliver) <= EventQueue::kActionCapacity,
                     "delivery closure outgrew the inline event buffer; the "
                     "common sim path would heap-allocate every delivery");
-      c_.events_.Schedule(c_.events_.now() + c_.config_.network_delay,
-                          std::move(deliver));
+      c_.events_.Schedule(
+          SatAdd(c_.events_.now(), c_.options_.sim.network_delay),
+          std::move(deliver));
       return;
     }
     // Cross-shard hop: serialize through the wire codec and ship on the
@@ -460,10 +472,11 @@ class Cluster::SimHooks final : public StepHooks {
              const ReplyContext& rc) override {
     const int sender_shard = c_.runtime_->ShardOf(sender);
     if (sender_shard == shard_) {
-      c_.events_.Schedule(c_.events_.now() + c_.config_.network_delay,
-                          [&c = c_, sender, from, rc] {
-                            c.converter(sender).ProcessCtxFromReply(from, rc);
-                          });
+      c_.events_.Schedule(
+          SatAdd(c_.events_.now(), c_.options_.sim.network_delay),
+          [&c = c_, sender, from, rc] {
+            c.converter(sender).ProcessCtxFromReply(from, rc);
+          });
       return;
     }
     const SimTime at = c_.runtime_->SendReply(shard_, sender_shard,
@@ -524,16 +537,16 @@ void Cluster::Run(SimTime until) {
   pumped_sources_ = sources_.size();
   if (chaos_mode_) {
     pump_until_ = until;
-    for (int s = 0; s < config_.num_shards; ++s) {
+    for (int s = 0; s < options_.shards; ++s) {
       if (pump_active_[static_cast<std::size_t>(s)]) continue;
       pump_active_[static_cast<std::size_t>(s)] = true;
-      events_.Schedule(events_.now() + config_.chaos_pump_tick,
+      events_.Schedule(SatAdd(events_.now(), kChaosPumpTick),
                        [this, s] { SessionPump(s); });
     }
   }
   events_.RunUntil(until);
   utilization_.SetSpan(until);
-  utilization_.SetWorkerCount(config_.num_workers * config_.num_shards);
+  utilization_.SetWorkers(options_.workers * options_.shards);
 }
 
 }  // namespace cameo

@@ -2,7 +2,7 @@
 // facade's submit/remove parity across both backends, and the equivalence
 // proof that the fluent path is a pure API layer -- a scenario expressed
 // through QueryDef/SimEngine produces the exact same RunResult as the
-// pre-API hand-wired graph + ClusterConfig + AddIngestion sequence for a
+// pre-API hand-wired graph + EngineOptions + AddIngestion sequence for a
 // fixed seed.
 #include <gtest/gtest.h>
 
@@ -333,6 +333,17 @@ TEST(EngineParityTest, SameSinkOutputsOnBothBackends) {
     EXPECT_EQ(sim.cluster().latency().sink_tuples(sj),
               thread.runtime().latency().sink_tuples(tj));
   }
+  // A session closes one single-row window per send: every closed session
+  // is one latency sample, including those whose last event lies on a
+  // multiple of the gap.
+  const std::size_t session = 2;
+  ASSERT_EQ(sim_q[session].name, "session");
+  EXPECT_EQ(sim.cluster().latency().outputs(sim_q[session].job()),
+            static_cast<std::uint64_t>(
+                sim.cluster().latency().sink_tuples(sim_q[session].job())));
+  EXPECT_EQ(thread.runtime().latency().outputs(thread_q[session].job()),
+            static_cast<std::uint64_t>(thread.runtime().latency().sink_tuples(
+                thread_q[session].job())));
 }
 
 TEST(SimEngineTest, LiveSubmitJoinsAtCurrentVirtualTime) {
@@ -469,8 +480,8 @@ TEST(EquivalenceTest, FluentScenarioMatchesHandWiredClusterRun) {
     handles.push_back(HandWiredAggregation(graph, ba));
   }
 
-  ClusterConfig cfg;
-  cfg.num_workers = opt.workers;
+  EngineOptions cfg;
+  cfg.workers = opt.workers;
   cfg.scheduler = opt.scheduler;
   cfg.sched.quantum = opt.quantum;
   cfg.policy = opt.policy;

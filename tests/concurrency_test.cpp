@@ -66,10 +66,10 @@ TEST(ConcurrencyTest, IngestHammerConservesTuplesAcrossSchedulers) {
   for (SchedulerKind kind : kAllKinds) {
     DataflowGraph graph;
     FlatJob fj = BuildFlatJob(graph, kThreads);
-    RuntimeConfig cfg;
-    cfg.num_workers = 4;
+    EngineOptions cfg;
+    cfg.workers = 4;
     cfg.scheduler = kind;
-    cfg.emulate_cost = false;
+    cfg.wallclock.emulate_cost = false;
     ThreadRuntime rt(cfg, std::move(graph));
     rt.Start();
 
@@ -112,9 +112,9 @@ TEST(ConcurrencyTest, ConcurrentIngestIntoSharedSourcesStaysOrdered) {
   JobHandles h = BuildAggregationJob(graph, spec);
   std::vector<OperatorId> sources = graph.stage(h.source).operators;
 
-  RuntimeConfig cfg;
-  cfg.num_workers = 4;
-  cfg.emulate_cost = false;
+  EngineOptions cfg;
+  cfg.workers = 4;
+  cfg.wallclock.emulate_cost = false;
   ThreadRuntime rt(cfg, std::move(graph));
   rt.Start();
   std::vector<std::thread> producers;
@@ -140,9 +140,9 @@ TEST(ConcurrencyTest, DrainIsCleanWhileProducersKeepArriving) {
   // point: at return, everything enqueued-so-far has been dispatched.
   DataflowGraph graph;
   FlatJob fj = BuildFlatJob(graph, 2);
-  RuntimeConfig cfg;
-  cfg.num_workers = 2;
-  cfg.emulate_cost = false;
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.wallclock.emulate_cost = false;
   ThreadRuntime rt(cfg, std::move(graph));
   rt.Start();
   std::atomic<bool> done{false};
@@ -177,19 +177,20 @@ class KeyRecordingSink final : public Operator {
 };
 
 // Between activations a worker keeps a continuing operator's claim
-// (Scheduler::CompleteAndDequeue), so a worker that leaves must release the
-// claim it holds; one kept past its exit strands the operator's backlog and
-// Drain() never returns. Two producers ingest 1-row batches while the pool
-// flexes 3 -> 1 -> 3: every row must be dispatched exactly once and Drain
-// must return within a watchdog timeout. Run under TSan.
-TEST(ConcurrencyTest, ShrinkingWorkersReleaseKeptClaims) {
+// (Scheduler::CompleteAndDequeue), so a worker that leaves on Stop() must
+// release the claim it holds; one kept past its exit strands the operator's
+// backlog across the next Start() and Drain() never returns. Two producers
+// ingest 1-row batches while the pool is stopped and restarted: every row
+// must be dispatched exactly once and Drain must return within a watchdog
+// timeout. Run under TSan.
+TEST(ConcurrencyTest, RestartingWorkersReleaseKeptClaims) {
   constexpr int kProducers = 2;
   constexpr std::int64_t kPerProducer = 6000;
-  constexpr int kMinFlexCycles = 6;
+  constexpr int kMinRestartCycles = 6;
 
   DataflowGraph graph;
   JobSpec spec;
-  spec.name = "flex";
+  spec.name = "restart";
   spec.latency_constraint = Seconds(10);
   spec.time_domain = TimeDomain::kEventTime;
   spec.output_window = 0;
@@ -204,10 +205,10 @@ TEST(ConcurrencyTest, ShrinkingWorkersReleaseKeptClaims) {
   const std::vector<OperatorId> sources = graph.stage(src).operators;
   const OperatorId sink_op = graph.stage(sink).operators[0];
 
-  RuntimeConfig cfg;
-  cfg.num_workers = 3;
+  EngineOptions cfg;
+  cfg.workers = 3;
   cfg.scheduler = SchedulerKind::kCameo;
-  cfg.emulate_cost = false;
+  cfg.wallclock.emulate_cost = false;
   ThreadRuntime rt(cfg, std::move(graph));
   rt.Start();
 
@@ -227,10 +228,11 @@ TEST(ConcurrencyTest, ShrinkingWorkersReleaseKeptClaims) {
     });
   }
   for (int cycle = 0;
-       cycle < kMinFlexCycles || producers_done.load() < kProducers; ++cycle) {
-    rt.SetWorkerCount(1);
+       cycle < kMinRestartCycles || producers_done.load() < kProducers;
+       ++cycle) {
+    rt.Stop();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    rt.SetWorkerCount(3);
+    rt.Start();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (std::thread& t : producers) t.join();
@@ -242,7 +244,7 @@ TEST(ConcurrencyTest, ShrinkingWorkersReleaseKeptClaims) {
     // end the process so the hang fails the test instead of the ctest
     // timeout.
     std::fprintf(stderr,
-                 "ShrinkingWorkersReleaseKeptClaims: Drain() did not return "
+                 "RestartingWorkersReleaseKeptClaims: Drain() did not return "
                  "within 60 s -- a claim outlived its worker\n");
     std::fflush(stderr);
     std::_Exit(1);
@@ -450,10 +452,10 @@ JobHandles BuildChurnQuery(DataflowGraph& g, int serial) {
 
 // The churn hammer: N producer threads ingest into a static job (exact
 // conservation anchor) and into whatever churned query is currently live,
-// while a mutator thread hot-adds/removes >= 100 queries and flexes the
-// worker pool. Every message accepted into a churned query must be executed
-// before RemoveQuery returns (graceful removal), every rejected Ingest must
-// leave no trace, and the static job must lose nothing.
+// while a mutator thread hot-adds/removes >= 100 queries. Every message
+// accepted into a churned query must be executed before RemoveQuery returns
+// (graceful removal), every rejected Ingest must leave no trace, and the
+// static job must lose nothing.
 TEST(ConcurrencyTest, ChurnHammerAddRemoveUnderLiveIngest) {
   constexpr int kProducers = 3;
   constexpr int kCycles = 110;
@@ -463,10 +465,10 @@ TEST(ConcurrencyTest, ChurnHammerAddRemoveUnderLiveIngest) {
   for (SchedulerKind kind : {SchedulerKind::kCameo, SchedulerKind::kSlot}) {
     DataflowGraph graph;
     FlatJob fj = BuildFlatJob(graph, kProducers);
-    RuntimeConfig cfg;
-    cfg.num_workers = 3;
+    EngineOptions cfg;
+    cfg.workers = 3;
     cfg.scheduler = kind;
-    cfg.emulate_cost = false;
+    cfg.wallclock.emulate_cost = false;
     ThreadRuntime rt(cfg, std::move(graph));
     rt.Start();
 
@@ -543,8 +545,6 @@ TEST(ConcurrencyTest, ChurnHammerAddRemoveUnderLiveIngest) {
       EXPECT_EQ(s.tuples(),
                 own + accepted[static_cast<std::size_t>(cyc)]->load())
           << ToString(kind) << " cycle " << cyc;
-      // Flex the worker pool every few cycles (elastic workers).
-      if (cyc % 10 == 4) rt.SetWorkerCount(1 + (cyc / 10) % 4);
     }
     done.store(true, std::memory_order_release);
     for (std::thread& t : producers) t.join();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/latency_recorder.h"
+#include "metrics/sharded_latency.h"
 #include "metrics/timeline.h"
 #include "metrics/utilization.h"
 
@@ -109,9 +110,35 @@ TEST(LatencyRecorderTest, MultipleJobsIndependent) {
   EXPECT_EQ(r.constraint(j2), Millis(200));
 }
 
+TEST(LatencyRecorderTest, SessionOutputReadsItsLastEventsBucket) {
+  // A session closes at B = (its last event) + gap. One single-event
+  // session per 100 ms; the ones at 300 ms and 600 ms lie on a multiple of
+  // the gap, so a window-range lookup over (B - gap, B] misses them. Every
+  // closed session must still yield one sample.
+  const LogicalTime gap = Millis(30);
+  LatencyRecorder r;
+  r.RegisterJob(kJob, Seconds(1), gap, gap, gap);
+  for (LogicalTime p = Millis(100); p <= Millis(600); p += Millis(100)) {
+    r.OnSourceEvent(kJob, p, p + Millis(5));
+    r.OnSinkOutput(kJob, p + gap, p + Millis(40));
+    r.OnSinkTuples(kJob, 1);
+  }
+  EXPECT_EQ(r.outputs(kJob), static_cast<std::uint64_t>(r.sink_tuples(kJob)));
+  EXPECT_DOUBLE_EQ(r.Latency(kJob).Max(), static_cast<double>(Millis(35)));
+}
+
+TEST(ShardedLatencyRecorderDeathTest, RejectsOutOfRangeShard) {
+  ShardedLatencyRecorder r(2);
+  r.RegisterJob(kJob, Seconds(1), 0, 0);
+  r.OnSinkTuples(1, kJob, 1, 0);  // the last worker's shard
+  EXPECT_EQ(r.sink_tuples(kJob), 1);
+  EXPECT_DEATH(r.OnSinkTuples(2, kJob, 1, 0), "index");
+  EXPECT_DEATH(r.OnSinkOutput(-1, kJob, 0, 0), "index");
+}
+
 TEST(UtilizationTest, AggregatesAcrossWorkers) {
   UtilizationTracker u;
-  u.SetWorkerCount(2);
+  u.SetWorkers(2);
   u.SetSpan(Seconds(10));
   u.AddBusy(WorkerId{0}, Seconds(5));
   u.AddBusy(WorkerId{1}, Seconds(10));

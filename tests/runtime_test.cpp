@@ -9,10 +9,10 @@
 namespace cameo {
 namespace {
 
-RuntimeConfig FastConfig() {
-  RuntimeConfig cfg;
-  cfg.num_workers = 2;
-  cfg.emulate_cost = false;  // CI-friendly: no spinning
+EngineOptions FastConfig() {
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.wallclock.emulate_cost = false;  // CI-friendly: no spinning
   return cfg;
 }
 
@@ -101,7 +101,7 @@ TEST(ThreadRuntimeTest, AllSchedulersDrainCleanly) {
     spec.domain = TimeDomain::kEventTime;
     JobHandles h = BuildAggregationJob(graph, spec);
     std::vector<OperatorId> sources = graph.stage(h.source).operators;
-    RuntimeConfig cfg = FastConfig();
+    EngineOptions cfg = FastConfig();
     cfg.scheduler = sched;
     ThreadRuntime rt(cfg, std::move(graph));
     rt.Start();
@@ -139,8 +139,8 @@ TEST(ThreadRuntimeTest, ProfilerObservesRealDurations) {
   OperatorId src = graph.stage(h.source).operators[0];
   OperatorId agg = graph.stage(h.stages[1]).operators[0];
 
-  RuntimeConfig cfg = FastConfig();
-  cfg.emulate_cost = true;  // spin for the modeled cost
+  EngineOptions cfg = FastConfig();
+  cfg.wallclock.emulate_cost = true;  // spin for the modeled cost
   ThreadRuntime rt(cfg, std::move(graph));
   rt.Start();
   for (int k = 1; k <= 5; ++k) rt.Ingest(src, 10, Seconds(k));
@@ -213,55 +213,6 @@ TEST(ThreadRuntimeTest, RemoveQueryExecutesBacklogThenRejects) {
   EXPECT_EQ(stats.purged, 0u);
   EXPECT_EQ(stats.rejected, 0u)
       << "a rejected ingest never reaches a mailbox";
-}
-
-TEST(ThreadRuntimeTest, SetWorkerCountBeforeStartRetargetsSlotPinning) {
-  // A pre-Start shrink must reach the slot scheduler: operators pinned by
-  // the construction-time worker count would otherwise wait on slots that
-  // never get a worker, and Drain() would hang.
-  DataflowGraph graph;
-  JobId job = BuildTenant(graph, "prestart");
-  RuntimeConfig cfg = FastConfig();
-  cfg.scheduler = SchedulerKind::kSlot;
-  cfg.num_workers = 4;
-  ThreadRuntime rt(cfg, std::move(graph));
-  OperatorId src =
-      rt.graph().stage(rt.graph().stages_of(job)[0]).operators[0];
-  rt.SetWorkerCount(1);
-  rt.Start();
-  EXPECT_EQ(rt.worker_count(), 1);
-  for (int k = 1; k <= 3; ++k) ASSERT_TRUE(rt.Ingest(src, 50, Seconds(k)));
-  rt.Drain();
-  rt.Stop();
-  EXPECT_GE(rt.latency().outputs(job), 2u);
-}
-
-TEST(ThreadRuntimeTest, SetWorkerCountGrowsAndShrinksMidRun) {
-  for (SchedulerKind kind : {SchedulerKind::kCameo, SchedulerKind::kSlot,
-                             SchedulerKind::kOrleans}) {
-    DataflowGraph graph;
-    JobId job = BuildTenant(graph, "elastic");
-    RuntimeConfig cfg = FastConfig();
-    cfg.scheduler = kind;
-    cfg.num_workers = 1;
-    ThreadRuntime rt(cfg, std::move(graph));
-    OperatorId src =
-        rt.graph().stage(rt.graph().stages_of(job)[0]).operators[0];
-    rt.Start();
-    EXPECT_EQ(rt.worker_count(), 1);
-    for (int k = 1; k <= 4; ++k) ASSERT_TRUE(rt.Ingest(src, 50, Seconds(k)));
-    rt.SetWorkerCount(4);
-    EXPECT_EQ(rt.worker_count(), 4);
-    for (int k = 5; k <= 8; ++k) ASSERT_TRUE(rt.Ingest(src, 50, Seconds(k)));
-    rt.SetWorkerCount(2);  // shrink: excess workers join, work migrates
-    EXPECT_EQ(rt.worker_count(), 2);
-    for (int k = 9; k <= 12; ++k) ASSERT_TRUE(rt.Ingest(src, 50, Seconds(k)));
-    rt.Drain();
-    rt.Stop();
-    EXPECT_GE(rt.latency().outputs(job), 11u) << ToString(kind);
-    SchedulerStats stats = rt.scheduler().stats();
-    EXPECT_EQ(stats.enqueued, stats.dispatched) << ToString(kind);
-  }
 }
 
 }  // namespace

@@ -17,8 +17,8 @@ TEST(SmokeTest, SingleJobProducesWindows) {
   spec.aggs = 2;
   JobHandles h = BuildAggregationJob(graph, spec);
 
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
+  EngineOptions cfg;
+  cfg.workers = 2;
   Cluster cluster(cfg, std::move(graph));
   cluster.AddIngestion(h.source, [](int) {
     return std::make_unique<ConstantRate>(1.0, 1000, 0, Seconds(20));
