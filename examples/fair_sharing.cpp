@@ -46,8 +46,8 @@ int main() {
 
   std::vector<std::vector<std::int64_t>> throughput;
   for (const QueryHandle& q : tenants) {
-    throughput.push_back(engine.cluster().latency().ProcessedBuckets(
-        q.job(), kSecond, kDuration));
+    throughput.push_back(
+        engine.cluster().latency().ProcessedPerSecond(q.job(), kDuration));
   }
 
   std::printf("three tenants, token shares 20/40/40, staggered starts\n\n");

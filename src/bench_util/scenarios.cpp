@@ -188,8 +188,8 @@ TokenScenarioResult RunTokenScenario(const TokenScenarioOptions& opt) {
   TokenScenarioResult out;
   out.run = engine.Summarize(opt.duration);
   for (const QueryHandle& q : handles) {
-    out.throughput.push_back(engine.cluster().latency().ProcessedBuckets(
-        q.job(), kSecond, opt.duration));
+    out.throughput.push_back(
+        engine.cluster().latency().ProcessedPerSecond(q.job(), opt.duration));
   }
   return out;
 }

@@ -43,8 +43,9 @@ void ExecuteStep(const Activation& a, Message& m, const StepClock& clock) {
 
   if (a.op.is_sink()) {
     const bool sliding = a.graph.job(a.op.job()).output_slide > 0;
-    a.hooks.RecordSink(a.op.job(), sliding ? m.progress() : m.event_time,
-                       m.batch.size(), end);
+    a.latency.OnSinkOutput(a.worker, a.op.job(),
+                           sliding ? m.progress() : m.event_time, end);
+    a.latency.OnSinkTuples(a.worker, a.op.job(), m.batch.size(), end);
   }
   // Last reader of this message's columns: park them for reuse.
   m.batch.Recycle();

@@ -8,16 +8,16 @@
 //   3. routes every emitted batch, building each delivery's Priority Context
 //      at the sender (BuildCxtAtOperator) and stamping its message id;
 //   4. acknowledges the upstream sender with a Reply Context (PrepareReply);
-//   5. at a sink, records the output's latency and tuples;
+//   5. at a sink, records the output's latency and tuples in the
+//      LatencyRecorder, under the executing worker's index;
 //   6. recycles the message's columns.
 //
-// The backends differ only in where results go, supplied as three StepHooks:
+// The backends differ only in where results go, supplied as two StepHooks:
 // a built message (the simulator schedules a network-delay event or ships a
-// wire frame to another shard; the wall-clock runtime enqueues it), a reply
-// (an event or a frame; a direct ProcessCtxFromReply), and the sink record
-// (the simulator's LatencyRecorder; the runtime's per-worker shard). The
-// clock is data (StepClock): virtual time charges a cost sampled up front,
-// the wall clock measures the invocation.
+// wire frame to another shard; the wall-clock runtime enqueues it) and a
+// reply (an event or a frame; a direct ProcessCtxFromReply). The clock is
+// data (StepClock): virtual time charges a cost sampled up front, the wall
+// clock measures the invocation.
 #pragma once
 
 #include <atomic>
@@ -30,6 +30,7 @@
 #include "core/policies.h"
 #include "core/profiler.h"
 #include "dataflow/graph.h"
+#include "metrics/latency_recorder.h"
 
 namespace cameo {
 
@@ -54,7 +55,7 @@ class CollectingEmitter final : public Emitter {
   std::vector<Out> outs_;
 };
 
-/// Where one step's results go: the three points at which the backends
+/// Where one step's results go: the two points at which the backends
 /// differ.
 class StepHooks {
  public:
@@ -63,11 +64,6 @@ class StepHooks {
   /// The Reply Context `from` acknowledges its upstream `sender` with.
   virtual void Reply(OperatorId sender, OperatorId from,
                      const ReplyContext& rc) = 0;
-  /// One sink output of `job`, attributed to `t` (the window's logical end
-  /// for sliding outputs, else the physical event time), carrying `tuples`,
-  /// recorded at `now`.
-  virtual void RecordSink(JobId job, SimTime t, std::int64_t tuples,
-                          SimTime now) = 0;
 
  protected:
   ~StepHooks() = default;
@@ -84,6 +80,8 @@ struct Activation {
   CollectingEmitter& emitter;
   Rng& rng;
   StepHooks& hooks;
+  LatencyRecorder& latency;
+  int worker;  // the executing worker's recorder index (0 in the simulator)
 };
 
 /// When one invocation runs and what it costs.

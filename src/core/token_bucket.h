@@ -42,7 +42,9 @@ class TokenBucket {
     t.interval_id = interval_id;
     if (used_ >= budget_) return t;  // budget exhausted: no token
     t.granted = true;
-    t.tag = interval_id * interval_ + used_ * (interval_ / budget_);
+    // The interval's base tag is at most `now`, but its offset can carry the
+    // last interval before kTimeMax past INT64_MAX: saturate.
+    t.tag = SatAdd(interval_id * interval_, used_ * (interval_ / budget_));
     ++used_;
     return t;
   }

@@ -233,12 +233,6 @@ class ThreadRuntime::WorkerHooks final : public StepHooks {
     rt_.converter(sender).ProcessCtxFromReply(from, rc);
   }
 
-  void RecordSink(JobId job, SimTime t, std::int64_t tuples,
-                  SimTime now) override {
-    rt_.latency_.OnSinkOutput(index_, job, t, now);
-    rt_.latency_.OnSinkTuples(index_, job, tuples, now);
-  }
-
  private:
   ThreadRuntime& rt_;
   int index_;
@@ -285,7 +279,8 @@ void ThreadRuntime::WorkerLoop(int index) {
     WorkerHooks hooks(*this, index, *js);
     const Activation a{graph_,           profiler_, *policy_,
                        converter(target), op,        next_message_id_,
-                       emitter,           rng,       hooks};
+                       emitter,           rng,       hooks,
+                       latency_,          index};
     for (Message& msg : batch) {
       // The profiled cost is measured: emulated compute plus the invocation.
       const SimTime start = Now();

@@ -11,7 +11,8 @@
 //    state all live behind copy-on-write snapshots (common/cow_index.h), so
 //    the per-message path is lock-free while AddQuery/RemoveQuery splice
 //    tenants in and out of the running system.
-//  - Latency metrics are per-worker shards merged on read.
+//  - Latency metrics: one LatencyRecorder with a sink-side accumulator per
+//    worker, merged on read.
 //  - Drain() waits on an atomic in-flight message counter: every Enqueue
 //    increments it and each completed invocation decrements it after routing
 //    its outputs, so the counter can only hit zero when the dataflow is
@@ -42,7 +43,7 @@
 #include "core/context_converter.h"
 #include "core/profiler.h"
 #include "dataflow/graph.h"
-#include "metrics/sharded_latency.h"
+#include "metrics/latency_recorder.h"
 #include "sched/scheduler.h"
 
 namespace cameo {
@@ -101,7 +102,7 @@ class ThreadRuntime {
   bool IngestBatch(OperatorId source, EventBatch batch);
 
   DataflowGraph& graph() { return graph_; }
-  ShardedLatencyRecorder& latency() { return latency_; }
+  LatencyRecorder& latency() { return latency_; }
   Scheduler& scheduler() { return *scheduler_; }
   CostProfiler& profiler() { return profiler_; }
 
@@ -147,7 +148,7 @@ class ThreadRuntime {
   CowIndex<OperatorId, SourceState> sources_;
   CowIndex<JobId, JobState> job_states_;
   CostProfiler profiler_;
-  ShardedLatencyRecorder latency_;
+  LatencyRecorder latency_;
 
   std::atomic<bool> stop_{false};
   /// Messages enqueued but not yet fully processed (invocation + routing).

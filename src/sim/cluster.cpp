@@ -486,12 +486,6 @@ class Cluster::SimHooks final : public StepHooks {
         at, [&c = c_, sender_shard] { c.ReceiveShardFrame(sender_shard); });
   }
 
-  void RecordSink(JobId job, SimTime t, std::int64_t tuples,
-                  SimTime now) override {
-    c_.latency_.OnSinkOutput(job, t, now);
-    c_.latency_.OnSinkTuples(job, tuples, now);
-  }
-
  private:
   Cluster& c_;
   WorkerId w_;
@@ -506,7 +500,8 @@ void Cluster::Execute(WorkerId w, SimTime dispatch_time,
   SimHooks hooks(*this, w, runtime_->ShardOf(target));
   const Activation a{graph_,           profiler_, *runtime_->policy_of(target),
                      converter(target), op,        next_message_id_,
-                     emitter_,          rng_,      hooks};
+                     emitter_,          rng_,      hooks,
+                     latency_,          /*worker=*/0};
   // The busy period already elapsed: every step runs at the completion time
   // and is charged its sampled cost.
   const SimTime now = events_.now();

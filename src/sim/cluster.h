@@ -6,7 +6,9 @@
 // between operators incur a configurable network delay, and switching a
 // worker between operators incurs a context-switch cost. Everything above
 // the clock — schedulers, contexts, policies, operators, metrics — is the
-// same code the wall-clock runtime uses.
+// same code the wall-clock runtime uses. The simulator runs its events on
+// one thread, so it records latency through worker index 0 of a one-worker
+// LatencyRecorder, and every read of it is exact.
 //
 // Per message lifecycle (paper Fig. 5(a)):
 //   ingestion -> BuildCxtAtSource -> Enqueue -> Dequeue (worker free)
@@ -214,7 +216,7 @@ class Cluster {
   std::unordered_map<OperatorId, std::unique_ptr<ContextConverter>> converters_;
   std::unordered_map<OperatorId, TokenBucket> token_buckets_;
   CostProfiler profiler_;
-  LatencyRecorder latency_;
+  LatencyRecorder latency_;  // one sink-side accumulator (worker 0)
   UtilizationTracker utilization_;
   Timeline timeline_;
   std::vector<WorkerState> workers_;

@@ -1,6 +1,7 @@
 #include "sim/driver.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace cameo {
 
@@ -43,7 +44,7 @@ RunResult SummarizeRun(Cluster& cluster, SimTime span) {
     JobResult r;
     r.job = job;
     r.name = cluster.graph().job(job).name;
-    const SampleStats& stats = cluster.latency().Latency(job);
+    SampleStats stats = cluster.latency().Latency(job);
     r.outputs = cluster.latency().outputs(job);
     if (!stats.empty()) {
       r.median_ms = stats.Percentile(50) / kMillisecond;
@@ -61,7 +62,7 @@ RunResult SummarizeRun(Cluster& cluster, SimTime span) {
         static_cast<double>(cluster.latency().processed(job)) /
         ToSeconds(span);
     out.jobs.push_back(r);
-    out.samples.emplace_back(r.name, stats);
+    out.samples.emplace_back(r.name, std::move(stats));
   }
   std::sort(out.jobs.begin(), out.jobs.end(),
             [](const JobResult& a, const JobResult& b) { return a.job < b.job; });

@@ -41,6 +41,11 @@ void* CountedAlloc(std::size_t n) {
   return p;
 }
 
+// The release half of CountedAlloc. Kept out of line: once inlined, GCC
+// sees `free` applied to storage from a replaced `operator new` and warns
+// -Wmismatched-new-delete at every inlined delete site.
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kCountingReliable = false;
 #elif defined(__has_feature)
@@ -65,15 +70,15 @@ void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 
 namespace cameo {

@@ -527,6 +527,21 @@ TEST(TokenBucketTest, IntervalIdTracksTime) {
   EXPECT_EQ(tb.TryAcquire(Seconds(7) + 1).interval_id, 7);
 }
 
+TEST(TokenBucketTest, TagsNeverDecreaseWithinTheLastInterval) {
+  // At the end of time the interval's base tag sits 0.85 s below kTimeMax,
+  // so with 1000 tokens/s the 856th grant's offset would pass INT64_MAX:
+  // the tag saturates instead of wrapping negative.
+  TokenBucket tb(1000, kSecond);
+  SimTime prev = kTimeMin;
+  for (int i = 0; i < 1000; ++i) {
+    const TokenBucket::Token t = tb.TryAcquire(kTimeMax);
+    ASSERT_TRUE(t.granted);
+    ASSERT_GE(t.tag, prev) << "grant " << i;
+    prev = t.tag;
+  }
+  EXPECT_EQ(prev, kTimeMax);
+}
+
 // ---------------- ContextConverter (Algorithm 1) ----------------
 
 class ConverterTest : public ::testing::Test {

@@ -302,12 +302,15 @@ TEST(FailureInjection, ColdStartWithoutSeedsConverges) {
       return std::make_unique<ConstantRate>(1.0, 1000, 0, Seconds(60),
                                             Millis(2 + 3 * r), true);
     });
+    // Steady state: median over the run's second half, i.e. the samples
+    // recorded after the first 30 s leg.
+    cluster.Run(Seconds(30));
+    const std::size_t first_half = cluster.latency().Latency(h.job).count();
     cluster.Run(Seconds(60));
-    // Steady state: median over the run's second half.
-    const auto& series = cluster.latency().Series(h.job);
+    const SampleStats all = cluster.latency().Latency(h.job);
     SampleStats tail_half;
-    for (const auto& [t, lat] : series) {
-      if (t > Seconds(30)) tail_half.Add(static_cast<double>(lat));
+    for (std::size_t i = first_half; i < all.samples().size(); ++i) {
+      tail_half.Add(all.samples()[i]);
     }
     return tail_half.Median();
   };
